@@ -18,13 +18,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from cryptic_prover.core import Pattern, normalize_letters, pattern_matches
+from cryptic_prover.core import Pattern, normalize_letters
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +63,8 @@ class EmbeddingTable:
                     f"vector for {word!r} has {vec.shape[0]} values, "
                     f"table dimension is {self.dimension}"
                 )
+        # The decoy search's index for the last word list it saw.
+        object.__setattr__(self, "_word_index", None)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -131,6 +134,45 @@ def cosine(u, v) -> float:
     return float(np.clip(np.dot(u, v) / norm, -1.0, 1.0))
 
 
+# The scores only pick a shortlist; each word on it is rescored with
+# ``cosine``, so any word within this margin of the k-th best stays in.
+_SHORTLIST_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class _LengthGroup:
+    """The normalised words of one letter count, sorted, with their vectors."""
+
+    words: tuple[str, ...]
+    rows: np.ndarray
+    norms: np.ndarray
+
+
+def _word_index(
+    table: EmbeddingTable, wordlist: Iterable[str]
+) -> dict[int, _LengthGroup]:
+    """The table's index of ``wordlist``, rebuilt when the word list changes."""
+    words = tuple(wordlist)
+    cached = table._word_index
+    if cached is not None and (cached[0] is words or cached[0] == words):
+        return cached[1]
+    by_length: dict[int, set[str]] = {}
+    for word in words:
+        letters = normalize_letters(word)
+        by_length.setdefault(len(letters), set()).add(letters)
+    zero = np.zeros(table.dimension)
+    groups = {}
+    for length, members in by_length.items():
+        ordered = tuple(sorted(members))
+        # A normalised word is one token, so its embed_phrase is its own vector.
+        rows = np.array(
+            [table.vectors.get(word.lower(), zero) for word in ordered], dtype=float
+        ).reshape(len(ordered), table.dimension)
+        groups[length] = _LengthGroup(ordered, rows, np.linalg.norm(rows, axis=1))
+    object.__setattr__(table, "_word_index", (words, groups))
+    return groups
+
+
 def closest_candidates(
     definition_span: str,
     pattern: Pattern,
@@ -143,29 +185,46 @@ def closest_candidates(
 
     The excluded word (the ground truth) never appears.  Ties are broken
     lexicographically, so rankings are reproducible.
+
+    The first search for a word list builds an index on the table: the
+    normalised words grouped by letter count, each group sorted and
+    stacked with its vectors and their norms.  Later searches with the
+    same word list (compared by contents) score a whole group with one
+    matrix-vector product; a different word list replaces the index.
+    The shortlist within ``_SHORTLIST_MARGIN`` of the k-th best score is
+    rescored with ``cosine``, so results equal a word-by-word scan.  Do
+    not mutate ``table.vectors`` after the first search.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     banned = normalize_letters(exclude)
-    pool = sorted(
-        {
-            normalize_letters(word)
-            for word in wordlist
-            if pattern_matches(word, pattern)
-        }
-    )
-    if not pool:
+    group = _word_index(table, wordlist).get(pattern.total)
+    if group is None:
         raise EmptyCandidateSet(
             f"no wordlist entry fits the pattern {pattern.render()!r}"
         )
-    pool = [word for word in pool if word != banned]
-    if not pool:
+    words = group.words
+    position = bisect_left(words, banned)
+    has_banned = position < len(words) and words[position] == banned
+    if len(words) == has_banned:
         raise EmptyCandidateSet(
             f"only the excluded word {banned!r} fits the pattern {pattern.render()!r}"
         )
     span_vec = table.embed_phrase(definition_span)
+    norms = group.norms * np.linalg.norm(span_vec)
+    scores = np.divide(
+        group.rows @ span_vec, norms, out=np.zeros(len(words)), where=norms != 0.0
+    )
+    if has_banned:
+        scores[position] = -np.inf
+    # Ascending position of the k-th best score among the allowed words.
+    kth = len(words) - min(k, len(words) - has_banned)
+    floor = np.partition(scores, kth)[kth] - _SHORTLIST_MARGIN
     ranked = sorted(
-        ((word, cosine(span_vec, table.embed_phrase(word))) for word in pool),
+        (
+            (words[i], cosine(span_vec, table.embed_phrase(words[i])))
+            for i in np.flatnonzero(scores >= floor)
+        ),
         key=lambda pair: (-pair[1], pair[0]),
     )
     return ranked[:k]

@@ -34,11 +34,23 @@ class PatternError(ValueError):
     """Raised for enumeration strings that do not match ``d(,d|-d)*``."""
 
 
+# Every ASCII character except A-Z, for deletion with ``str.translate``.
+_ASCII_NON_CAPITALS = {code: None for code in range(128) if not 65 <= code <= 90}
+
+
 def normalize_letters(text: str) -> str:
     """Return only the letters of ``text``, uppercased and accent-folded.
 
     Idempotent: applying it twice gives the same result as applying it once.
     """
+    if text.isascii():
+        # NFKD leaves ASCII unchanged and its only letters are a-z and A-Z.
+        return text.upper().translate(_ASCII_NON_CAPITALS)
+    return _normalize_unicode_letters(text)
+
+
+def _normalize_unicode_letters(text: str) -> str:
+    """The general path of ``normalize_letters``: NFKD, then keep A-Z."""
     decomposed = unicodedata.normalize("NFKD", text)
     kept: list[str] = []
     for ch in decomposed:

@@ -387,8 +387,11 @@ def run_experiment(
         Path(transcripts_dir).mkdir(parents=True, exist_ok=True)
 
     wordlist = tuple(wordlist)
+    finished = _finished_clues(clues, existing, samples_per_candidate)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:
+        if clue.clue_id in finished:
+            return []
         return _clue_records(
             clue,
             generator=generator,
@@ -417,6 +420,33 @@ def run_experiment(
             if results_path is not None:
                 _append_records(results_path, batch)
     return records
+
+
+def _finished_clues(
+    clues: Sequence[Clue], existing: Sequence[SolveRecord], samples: int
+) -> set[str]:
+    """Ids of the clues whose gold and decoy samples are all recorded already.
+
+    Resume skips these clues whole, decoy search included.
+    """
+    recorded: dict[tuple[str, bool, str], set[int]] = {}
+    for record in existing:
+        key = (record.clue_id, record.is_ground_truth, record.candidate)
+        recorded.setdefault(key, set()).add(record.sample_index)
+    every = set(range(samples))
+    decoy_done = {
+        clue_id
+        for (clue_id, is_truth, _), indices in recorded.items()
+        if not is_truth and every <= indices
+    }
+    finished = set()
+    for clue in clues:
+        if clue.clue_id not in decoy_done:
+            continue
+        gold = (clue.clue_id, True, normalize_letters(clue.gold_answer))
+        if every <= recorded.get(gold, set()):
+            finished.add(clue.clue_id)
+    return finished
 
 
 def _clue_records(

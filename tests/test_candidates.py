@@ -2,6 +2,8 @@
 
 import logging
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -245,6 +247,134 @@ class TestClosestCandidates:
 
             ranked = closest_candidates(span, pattern, exclude, table, wordlist)
             assert ranked[0][0] == best
+
+
+def brute_force(span, pattern, exclude, table, wordlist, k):
+    """The word-by-word scan the indexed search must reproduce exactly."""
+    fits = {normalize_letters(w) for w in wordlist if pattern_matches(w, pattern)}
+    if not fits:
+        raise EmptyCandidateSet("no fit")
+    pool = fits - {normalize_letters(exclude)}
+    if not pool:
+        raise EmptyCandidateSet("excluded")
+    span_vec = table.embed_phrase(span)
+    scored = [(word, cosine(span_vec, table.embed_phrase(word))) for word in pool]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except EmptyCandidateSet as error:
+        return type(error)
+
+
+# Few distinct small-integer vectors, so duplicates and exact ties are common.
+small_vectors = st.sampled_from(
+    [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, 0.0),
+     (-1.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, -2.0, 1.0)]
+)
+# Entries may carry accents, capitals and punctuation that normalise away.
+entries = st.text(alphabet="abcáBC -'", min_size=1, max_size=5)
+
+
+class TestIndexedSearchMatchesAScan:
+    @given(
+        vectors=st.dictionaries(
+            st.text(alphabet="abc", min_size=1, max_size=4), small_vectors, max_size=12
+        ),
+        wordlist=st.lists(entries, max_size=15),
+        span_tokens=st.lists(st.sampled_from(["a", "bca", "cc", "zz"]), max_size=3),
+        total=st.integers(1, 4),
+        k=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_agrees_with_a_brute_force_scan(
+        self, vectors, wordlist, span_tokens, total, k, data
+    ):
+        table = EmbeddingTable(
+            dimension=3, vectors={w: np.array(v) for w, v in vectors.items()}
+        )
+        # Half the time the excluded word is in the pool, often at the argmax.
+        in_pool = wordlist and data.draw(st.booleans())
+        exclude = data.draw(st.sampled_from(wordlist) if in_pool else entries)
+        args = (" ".join(span_tokens), Pattern((total,)), exclude, table, wordlist, k)
+        assert outcome(closest_candidates, *args) == outcome(brute_force, *args)
+
+    def test_scores_equal_cosine_bit_for_bit(self, table, wordlist):
+        vocabulary = sorted(table.vectors)
+        spans = vocabulary + [f"{a} {b}" for a, b in zip(vocabulary, vocabulary[1:])]
+        for span in spans:
+            pattern = Pattern((len(span.split()[0]),))
+            args = (span, pattern, span, table, wordlist, 5)
+            assert closest_candidates(*args) == brute_force(*args)
+
+    def test_duplicate_vectors_tie_lexicographically(self):
+        same = np.array([1.0, 2.0])
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={"hat": same, "cat": same, "bat": same, "sun": -same},
+        )
+        words = ["SUN", "HAT", "CAT", "BAT"]
+        ranked = closest_candidates("hat", Pattern.parse("3"), "", table, words, k=3)
+        assert [word for word, _ in ranked] == ["BAT", "CAT", "HAT"]
+        assert len({similarity for _, similarity in ranked}) == 1
+
+    def test_out_of_vocabulary_words_score_zero(self):
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={"up": np.array([1.0, 0.0]), "no": np.array([-1.0, 0.0])},
+        )
+        words = ["up", "no", "qz"]
+        ranked = closest_candidates("up", Pattern.parse("2"), "UP", table, words, k=5)
+        assert ranked == [("QZ", 0.0), ("NO", -1.0)]
+
+    def test_entries_that_normalise_alike_are_one_candidate(self):
+        table = EmbeddingTable(dimension=2, vectors={"cafe": np.array([1.0, 0.0])})
+        words = ["Café", "cafe", "CAFE", "tree"]
+        ranked = closest_candidates("cafe", Pattern.parse("4"), "", table, words, k=5)
+        assert ranked == [("CAFE", 1.0), ("TREE", 0.0)]
+        with pytest.raises(EmptyCandidateSet, match="excluded"):
+            closest_candidates("cafe", Pattern.parse("4"), "café", table, words[:3])
+
+    def test_a_new_wordlist_is_not_served_a_stale_index(self):
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={"ape": np.array([1.0, 0.0]), "bee": np.array([0.9, 0.1])},
+        )
+        three, five = Pattern.parse("3"), Pattern.parse("5")
+        old, new = ["APE", "BEE"], ["BEE", "COW", "HORSE"]
+        assert closest_candidates("ape", three, "", table, old)[0][0] == "APE"
+        assert closest_candidates("ape", three, "", table, new)[0][0] == "BEE"
+        assert closest_candidates("ape", five, "", table, new)[0][0] == "HORSE"
+        with pytest.raises(EmptyCandidateSet, match="'5'"):
+            closest_candidates("ape", five, "", table, old)
+
+    def test_threads_sharing_a_table_across_two_wordlists_agree(self, wordlist):
+        def search(table, span, words):
+            return closest_candidates(span, Pattern((len(span),)), "", table, words, k=3)
+
+        lists = (wordlist, wordlist[::2])
+        spans = sorted(load_embeddings(FIXTURE).vectors)
+        jobs = [(span, lists[i % 2]) for i, span in enumerate(spans * 4)]
+        reference = load_embeddings(FIXTURE)
+        expected = [search(reference, span, words) for span, words in jobs]
+        shared = load_embeddings(FIXTURE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(search, shared, span, words) for span, words in jobs]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+
+    def test_a_one_shot_iterator_is_a_wordlist_too(self, table, wordlist):
+        six = Pattern.parse("6")
+        expected = closest_candidates("escort", six, "", table, wordlist, k=3)
+        ranked = closest_candidates("escort", six, "", table, iter(wordlist), k=3)
+        assert ranked == expected
 
 
 class TestPseudoEmbeddings:

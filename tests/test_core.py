@@ -10,6 +10,7 @@ from cryptic_prover.core import (
     Direction,
     Pattern,
     PatternError,
+    _normalize_unicode_letters,
     normalize_letters,
     pattern_matches,
     phonetic_key,
@@ -37,6 +38,20 @@ class TestNormalizeLetters:
     @given(st.text(max_size=40))
     def test_output_alphabet(self, text):
         assert all("A" <= c <= "Z" for c in normalize_letters(text))
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+            st.text(alphabet="aZ9 -'ßéÅçøﬁ²", max_size=40),
+        )
+    )
+    def test_ascii_fast_path_equals_the_nfkd_path(self, text):
+        assert normalize_letters(text) == _normalize_unicode_letters(text)
+
+    def test_sharp_s_and_accents_fold_to_their_ascii_spelling(self):
+        assert normalize_letters("Straße, 2 cafés") == "STRASSECAFES"
+        assert normalize_letters("Strasse, 2 cafes") == "STRASSECAFES"
 
 
 class TestPhoneticKey:

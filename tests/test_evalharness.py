@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryptic_prover import dataset, lexfiles
+from cryptic_prover import dataset, evalharness, lexfiles
 from cryptic_prover.candidates import load_embeddings
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.evalharness import (
@@ -372,6 +372,61 @@ class TestRunExperiment:
             r.to_dict().items() for r in full
         )
         assert len(load_records(path)) == 20
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts the decoy searches run_experiment makes."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return closest_candidates(*args, **kwargs)
+
+        closest_candidates = evalharness.closest_candidates
+        monkeypatch.setattr(evalharness, "closest_candidates", counting)
+        return calls
+
+    def test_resuming_a_complete_run_searches_no_decoys(
+        self, tmp_path, eight_clues, lexicon, table, wordlist, searches
+    ):
+        path = tmp_path / "results.jsonl"
+        self.run(eight_clues[:3], lexicon, table, wordlist, results_path=path)
+        assert len(searches) == 3
+        before = path.read_bytes()
+        searches.clear()
+        self.run(
+            eight_clues[:3], lexicon, table, wordlist, results_path=path, resume=True
+        )
+        assert searches == []
+        assert path.read_bytes() == before
+
+    def test_resume_searches_only_the_unfinished_clues(
+        self, tmp_path, eight_clues, lexicon, table, wordlist, searches
+    ):
+        path = tmp_path / "results.jsonl"
+        self.run(eight_clues[:3], lexicon, table, wordlist, results_path=path)
+        lines = path.read_text().splitlines()
+        # The first clue keeps all ten records; the second loses its last decoy.
+        path.write_text("\n".join(lines[:19]) + "\n", encoding="utf-8")
+        searches.clear()
+        resumed = self.run(
+            eight_clues[:3], lexicon, table, wordlist, results_path=path, resume=True
+        )
+        assert len(searches) == 2
+        assert len(resumed) == 30
+
+    def test_a_recorded_decoy_failure_counts_as_finished(
+        self, tmp_path, eight_clues, lexicon, table, searches
+    ):
+        clue = next(c for c in eight_clues if c.gold_answer == "UNDERMINED")
+        path = tmp_path / "results.jsonl"
+        self.run([clue], lexicon, table, ["UNDERMINED"], results_path=path)
+        searches.clear()
+        again = self.run(
+            [clue], lexicon, table, ["UNDERMINED"], results_path=path, resume=True
+        )
+        assert searches == []
+        assert len(again) == 10
 
     def test_without_resume_the_results_file_is_fresh(
         self, tmp_path, eight_clues, lexicon, table, wordlist
