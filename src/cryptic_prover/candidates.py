@@ -21,7 +21,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -228,17 +228,6 @@ def closest_candidates(
         key=lambda pair: (-pair[1], pair[0]),
     )
     return ranked[:k]
-
-
-def embedding_synonym_fallback(
-    table: EmbeddingTable, threshold: float = 0.55
-) -> Callable[[str, str], bool]:
-    """A pluggable is_synonym backend: cosine of pooled phrases >= threshold."""
-
-    def fallback(phrase: str, candidate: str) -> bool:
-        return cosine(table.embed_phrase(phrase), table.embed_phrase(candidate)) >= threshold
-
-    return fallback
 
 
 # -- deterministic pseudo-embeddings -------------------------------------------

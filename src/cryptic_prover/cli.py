@@ -86,9 +86,10 @@ class CliConfig:
             wordlist=self.wordlist,
         )
 
-    def make_generator(self):
+    def make_generator(self, lexicon: Lexicon):
+        """The configured generator; the mock parses wordplay with ``lexicon``."""
         if self.generator == "mock":
-            return CompilerBackedMock()
+            return CompilerBackedMock(lexicon=lexicon)
         if self.generator == "replay":
             if self.replay is None:
                 raise ConfigError("generator 'replay' needs a transcript (--replay)")
@@ -139,14 +140,7 @@ _CONFIG_KEYS = (
 
 def _seed_defaults() -> dict:
     return {
-        "thesaurus": lexfiles.seed_path("lexicon/thesaurus.tsv"),
-        "abbreviations": lexfiles.seed_path("lexicon/abbreviations.tsv"),
-        "indicators": (
-            lexfiles.seed_path("lexicon/indicators.tsv"),
-            lexfiles.seed_path("lexicon/indicators_extra.tsv"),
-        ),
-        "homophones": lexfiles.seed_path("lexicon/homophones.tsv"),
-        "wordlist": lexfiles.seed_path("lexicon/wordlist.txt"),
+        **lexfiles.seed_lexicon_files(),
         "embeddings": lexfiles.seed_path("fixtures/embeddings_16d.txt"),
         "output_dir": Path("runs"),
     }
@@ -315,10 +309,11 @@ def cmd_parse(config: CliConfig, args) -> int:
         print("nothing to parse: give an annotation or --file", file=sys.stderr)
         return 2
 
+    lexicon = config.lexicon()
     status = 0
     for annotation in annotations:
         try:
-            node = parse_wordplay(annotation)
+            node = parse_wordplay(annotation, lexicon)
         except ParseError as error:
             print(f"parse error: {error}", file=sys.stderr)
             status = 2
@@ -329,12 +324,12 @@ def cmd_parse(config: CliConfig, args) -> int:
                 {
                     "annotation": annotation,
                     "letters": letters,
-                    "notation": notation.render_wordplay(node),
+                    "notation": notation.render_wordplay(node, lexicon),
                     "tree": _node_dict(node),
                 }
             )
         elif len(annotations) > 1:
-            print(f"{letters}\t{notation.render_wordplay(node)}")
+            print(f"{letters}\t{notation.render_wordplay(node, lexicon)}")
         else:
             print("\n".join(_tree_lines(node)))
             print(f"letters: {letters}")
@@ -389,9 +384,9 @@ def cmd_formalize(config: CliConfig, args) -> int:
         print(f"bad request: {error}", file=sys.stderr)
         return 2
 
-    generator = config.make_generator()
+    lexicon = config.lexicon()
     transcript = prove_with_rewrites(
-        request, generator, config.lexicon(), max_calls=config.rewrite_cap + 1
+        request, config.make_generator(lexicon), lexicon, max_calls=config.rewrite_cap + 1
     )
     if args.transcript:
         save_transcript(transcript, config.out_path(args.transcript))
@@ -455,10 +450,11 @@ def cmd_experiment(config: CliConfig, args) -> int:
     transcripts_dir = (
         config.out_path(args.transcripts) if args.transcripts else None
     )
+    lexicon = config.lexicon()
     records = run_experiment(
         clues,
-        generator=config.make_generator(),
-        lexicon=config.lexicon(),
+        generator=config.make_generator(lexicon),
+        lexicon=lexicon,
         table=load_embeddings(config.embeddings),
         wordlist=lexfiles.load_wordlist(config.wordlist),
         samples_per_candidate=config.samples,

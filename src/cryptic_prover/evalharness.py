@@ -32,18 +32,17 @@ from cryptic_prover import dataset
 from cryptic_prover.candidates import EmbeddingTable, EmptyCandidateSet, closest_candidates
 from cryptic_prover.core import Clue, normalize_letters
 from cryptic_prover.formalize import (
+    FAIL,
     MAX_GENERATOR_CALLS,
     ProofRequest,
+    Rewrites,
+    check_rewrites,
     prove_with_rewrites,
     save_transcript,
 )
 from cryptic_prover.oracles import Lexicon
 
 log = logging.getLogger(__name__)
-
-FAIL = "FAIL"
-
-Rewrites = Union[int, str]
 
 
 class Method(Enum):
@@ -74,7 +73,7 @@ class SolveRecord:
     reason: str = ""
 
     def __post_init__(self):
-        _check_rewrites(self.rewrites)
+        check_rewrites(self.rewrites)
         if self.candidate != normalize_letters(self.candidate):
             raise ValueError(f"candidate must be normalized caps: {self.candidate!r}")
         if self.sample_index < 0:
@@ -111,16 +110,9 @@ class QuestionComparison:
     outcome: Outcome
 
 
-def _check_rewrites(value: Rewrites) -> None:
-    if value == FAIL:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= 5:
-        raise ValueError(f"rewrites must be 0..5 or FAIL, got {value!r}")
-
-
 def _rewrites_of(item) -> Rewrites:
     value = item.rewrites if isinstance(item, SolveRecord) else item
-    _check_rewrites(value)
+    check_rewrites(value)
     return value
 
 

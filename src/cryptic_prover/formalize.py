@@ -95,6 +95,22 @@ class GeneratorUnavailable(RuntimeError):
 
 
 MAX_GENERATOR_CALLS = 6  # one draft plus five rewrites
+FAIL = "FAIL"
+
+# Rewrites a proof needed, 0..MAX_GENERATOR_CALLS - 1, or FAIL.
+Rewrites = Union[int, str]
+
+
+def check_rewrites(value: Rewrites) -> None:
+    """Reject anything but a rewrite count within the budget or ``FAIL``."""
+    if value == FAIL:
+        return
+    in_budget = isinstance(value, int) and 0 <= value < MAX_GENERATOR_CALLS
+    if isinstance(value, bool) or not in_budget:
+        raise ValueError(
+            f"rewrites out of range: expected 0..{MAX_GENERATOR_CALLS - 1} "
+            f"or {FAIL!r}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,23 +149,20 @@ class GeneratorTranscript:
     """
 
     attempts: tuple[Attempt, ...]
-    rewrites_used: Union[int, str]
+    rewrites_used: Rewrites
     failure_reason: str = ""
 
     def __post_init__(self):
-        if isinstance(self.rewrites_used, int):
-            if not 0 <= self.rewrites_used < MAX_GENERATOR_CALLS:
-                raise ValueError(f"rewrites_used out of range: {self.rewrites_used}")
+        check_rewrites(self.rewrites_used)
+        if self.solved:
             if len(self.attempts) != self.rewrites_used + 1:
                 raise ValueError("a solved transcript holds one attempt per call")
-        elif self.rewrites_used != "FAIL":
-            raise ValueError(f"rewrites_used must be 0..5 or 'FAIL', got {self.rewrites_used!r}")
         elif not self.failure_reason and len(self.attempts) != MAX_GENERATOR_CALLS:
             raise ValueError("an exhausted transcript holds all six attempts")
 
     @property
     def solved(self) -> bool:
-        return isinstance(self.rewrites_used, int)
+        return self.rewrites_used != FAIL
 
 
 # -- deterministic compilation --------------------------------------------------
@@ -412,7 +425,7 @@ def prove_with_rewrites(
         try:
             response = generator.generate(prompt)
         except GeneratorUnavailable as error:
-            return GeneratorTranscript(tuple(attempts), "FAIL", failure_reason=str(error))
+            return GeneratorTranscript(tuple(attempts), FAIL, failure_reason=str(error))
         outcome = verify_text(response, lexicon)
         attempts.append(Attempt(prompt, response, outcome))
         if outcome.status is ProofStatus.PROVED:
@@ -422,10 +435,10 @@ def prove_with_rewrites(
     if max_calls < MAX_GENERATOR_CALLS:
         return GeneratorTranscript(
             tuple(attempts),
-            "FAIL",
+            FAIL,
             failure_reason=f"rewrite cap reached after {max_calls} call(s)",
         )
-    return GeneratorTranscript(tuple(attempts), "FAIL")
+    return GeneratorTranscript(tuple(attempts), FAIL)
 
 
 def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> None:
@@ -467,11 +480,14 @@ class CompilerBackedMock:
     ``proof`` header in the prompt, with its definition and wordplay
     lines right below.  ``fail_first`` spoils that many responses with
     a false equality, which makes the rewrite loop take measurable
-    laps before succeeding.
+    laps before succeeding.  The wordplay is parsed with ``lexicon``
+    (``None`` means ``seed_lexicon()``), which should be the lexicon the
+    replies are verified against.
     """
 
-    def __init__(self, fail_first: int = 0):
+    def __init__(self, fail_first: int = 0, lexicon: Optional[Lexicon] = None):
         self.fail_first = fail_first
+        self.lexicon = lexicon
         self.calls = 0
 
     def generate(self, prompt: str) -> str:
@@ -495,7 +511,7 @@ class CompilerBackedMock:
                 definition=definition or fields["clue"],
                 wordplay=wordplay,
             )
-            node = notation.parse_wordplay(wordplay)
+            node = notation.parse_wordplay(wordplay, self.lexicon)
             script = compile_wordplay(node, request)
         except (KeyError, ValueError) as error:
             # Nothing compilable: answer with an honest stub that the

@@ -15,7 +15,6 @@ abbreviation expansions is kept for hint rendering, in file order.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,6 +29,20 @@ class LexiconFormatError(ValueError):
 def seed_path(name: str) -> Path:
     """Path of a packaged seed data file, e.g. ``lexicon/thesaurus.tsv``."""
     return Path(str(resources.files("cryptic_prover").joinpath("data", name)))
+
+
+def seed_lexicon_files() -> dict[str, Path | tuple[Path, ...]]:
+    """The packaged lexicon files, keyed by the ``Lexicon.from_files`` argument each fills."""
+    return {
+        "abbreviations": seed_path("lexicon/abbreviations.tsv"),
+        "thesaurus": seed_path("lexicon/thesaurus.tsv"),
+        "indicators": (
+            seed_path("lexicon/indicators.tsv"),
+            seed_path("lexicon/indicators_extra.tsv"),
+        ),
+        "homophones": seed_path("lexicon/homophones.tsv"),
+        "wordlist": seed_path("lexicon/wordlist.txt"),
+    }
 
 
 def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -57,15 +70,6 @@ def load_abbreviations(path: str | Path) -> dict[str, list[str]]:
         if phrase not in entries:
             entries.append(phrase)
     return table
-
-
-def invert_abbreviations(table: dict[str, list[str]]) -> dict[str, set[str]]:
-    """Map case-folded phrase to the set of normalised short forms."""
-    inverse: dict[str, set[str]] = {}
-    for short, phrases in table.items():
-        for phrase in phrases:
-            inverse.setdefault(phrase.casefold(), set()).add(normalize_letters(short))
-    return inverse
 
 
 def load_thesaurus(path: str | Path) -> dict[str, list[str]]:
@@ -114,15 +118,3 @@ def load_wordlist(path: str | Path) -> list[str]:
             seen.add(word)
             words.append(word)
     return words
-
-
-@lru_cache(maxsize=1)
-def seed_indicator_table() -> dict[str, frozenset[ActionKind]]:
-    return load_indicators(
-        [seed_path("lexicon/indicators.tsv"), seed_path("lexicon/indicators_extra.tsv")]
-    )
-
-
-@lru_cache(maxsize=1)
-def seed_abbreviation_inverse() -> dict[str, set[str]]:
-    return invert_abbreviations(load_abbreviations(seed_path("lexicon/abbreviations.tsv")))

@@ -25,6 +25,12 @@ standardised dialect.  The conventions this module understands:
 ``resolve``/``yields_answer`` check a tree against an answer, permuting
 anagrams, spelling out homophones and searching container split points
 as needed.
+
+Which bare phrases are signifiers (``(hides)``, ``around``) and which
+short glosses are abbreviations comes from an ``oracles.Lexicon``:
+``parse_wordplay(annotation, lexicon)`` and ``render_wordplay(node,
+lexicon)`` take the lexicon the proofs are checked against, and default
+to the packaged ``seed_lexicon()``.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Optional, Union
 
-from cryptic_prover import lexfiles
 from cryptic_prover.core import ActionKind, normalize_letters, phonetic_key
+from cryptic_prover.oracles import Lexicon, seed_lexicon
 
 
 class ParseError(ValueError):
@@ -395,16 +401,6 @@ _NODE_ACTION = {
 }
 
 
-@dataclass(frozen=True)
-class _Tables:
-    signifiers: dict[str, frozenset[ActionKind]]
-    abbrev_inverse: dict[str, set[str]]
-
-
-def _default_tables() -> _Tables:
-    return _Tables(lexfiles.seed_indicator_table(), lexfiles.seed_abbreviation_inverse())
-
-
 def _node_action(node: WordplayNode) -> Optional[ActionKind]:
     if isinstance(node, Deletion):
         if node.kind is DeletionKind.FIRST:
@@ -415,15 +411,14 @@ def _node_action(node: WordplayNode) -> Optional[ActionKind]:
     return _NODE_ACTION.get(type(node))
 
 
-def _wrap_gloss(node: WordplayNode, phrase: str, abbrev: bool, tables: _Tables) -> Optional[WordplayNode]:
+def _wrap_gloss(node: WordplayNode, phrase: str, abbrev: bool, lexicon: Lexicon) -> Optional[WordplayNode]:
     """Attach an origin gloss to the innermost bare Literal, if there is one."""
     if isinstance(node, Literal):
-        short_forms = tables.abbrev_inverse.get(phrase.casefold(), set())
-        if abbrev or (len(node.letters) <= 3 and node.letters in short_forms):
+        if abbrev or (len(node.letters) <= 3 and node.letters in lexicon.short_forms(phrase)):
             return AbbrevOf(phrase, node.letters)
         return SynonymOf(phrase, node.letters)
     if isinstance(node, (Anagram, Reversal, Deletion)):
-        sub = _wrap_gloss(node.source, phrase, abbrev, tables)
+        sub = _wrap_gloss(node.source, phrase, abbrev, lexicon)
         return dataclasses.replace(node, source=sub) if sub is not None else None
     if isinstance(node, Homophone) and not node.origin and not abbrev:
         return dataclasses.replace(node, origin=phrase)
@@ -463,12 +458,12 @@ class _Group:
     pos: int = 0
 
 
-def _classify_group(token: _Token, tables: _Tables, full: str) -> _Group:
+def _classify_group(token: _Token, lexicon: Lexicon, full: str) -> _Group:
     content = token.text.strip()
     if content == "DD":
         return _Group("dd", pos=token.pos)
     if "(" in content:
-        node = _parse_text(content, full, token.pos + 1, tables)
+        node = _parse_text(content, full, token.pos + 1, lexicon)
         return _Group("unit", node=node, pos=token.pos)
 
     raw_parts = [p.strip() for p in content.split(",") if p.strip()]
@@ -497,11 +492,11 @@ def _classify_group(token: _Token, tables: _Tables, full: str) -> _Group:
         if any(_is_caps(w) for w in part.split()):
             roles.append(("commentary", part))
             continue
-        fold = part.casefold()
-        if fold in tables.signifiers:
-            roles.append(("table_sig", part, set(tables.signifiers[fold])))
+        actions = lexicon.actions(part)
+        if actions:
+            roles.append(("table_sig", part, set(actions)))
             continue
-        if fold in _ABBREV_MARKERS:
+        if part.casefold() in _ABBREV_MARKERS:
             roles.append(("abbrev", part))
             continue
         roles.append(("gloss", part))
@@ -520,7 +515,7 @@ def _is_container_sig(group: _Group) -> bool:
 
 
 def _apply_group(
-    unit: _Unit, group: _Group, tables: _Tables, items: list[_Item], boundary: int = -1
+    unit: _Unit, group: _Group, lexicon: Lexicon, items: list[_Item], boundary: int = -1
 ) -> bool:
     """Try to attach every live part of a group to a unit; commit only if all fit."""
     node = unit.node
@@ -533,7 +528,7 @@ def _apply_group(
         if kind == "gloss":
             if glossed:
                 continue  # later glosses are commentary
-            wrapped = _wrap_gloss(node, role[1], abbrev, tables)
+            wrapped = _wrap_gloss(node, role[1], abbrev, lexicon)
             if wrapped is None:
                 return False
             node = wrapped
@@ -638,7 +633,7 @@ def _word_item(token: _Token, full: str) -> _Item:
 
 
 def _try_hidden_run(
-    tokens: list[_Token], start: int, tables: _Tables, full: str
+    tokens: list[_Token], start: int, lexicon: Lexicon, full: str
 ) -> Optional[tuple[_Unit, int]]:
     """Detect multi-word hidden answers and merged CAPS phrases.
 
@@ -669,8 +664,7 @@ def _try_hidden_run(
     has_brackets = any(k == "brkt" for segs in run for k, _ in segs)
     next_is_substring_sig = False
     if j < len(tokens) and tokens[j].kind == "GROUP":
-        fold = tokens[j].text.strip().casefold()
-        next_is_substring_sig = ActionKind.SUBSTRING in tables.signifiers.get(fold, ())
+        next_is_substring_sig = ActionKind.SUBSTRING in lexicon.actions(tokens[j].text)
 
     if shape_ok and (has_brackets or next_is_substring_sig):
         words = ["".join(t for _, t in segs).lower() for segs in run]
@@ -690,7 +684,7 @@ def _try_hidden_run(
 # Assembly
 
 
-def _operand_node(content: str, full: str, base: int, tables: _Tables) -> WordplayNode:
+def _operand_node(content: str, full: str, base: int, lexicon: Lexicon) -> WordplayNode:
     tokens = _tokenize(content, full, base)
     if not tokens:
         raise ParseError("empty operand", full, base)
@@ -699,11 +693,11 @@ def _operand_node(content: str, full: str, base: int, tables: _Tables) -> Wordpl
         if not letters:
             raise ParseError("operand has no letters", full, base)
         return Literal(letters)
-    return _assemble(tokens, full, tables)
+    return _assemble(tokens, full, lexicon)
 
 
-def _parse_text(text: str, full: str, base: int, tables: _Tables) -> WordplayNode:
-    return _assemble(_tokenize(text, full, base), full, tables)
+def _parse_text(text: str, full: str, base: int, lexicon: Lexicon) -> WordplayNode:
+    return _assemble(_tokenize(text, full, base), full, lexicon)
 
 
 def _is_double_definition(text: str, tokens: list[_Token]) -> bool:
@@ -717,7 +711,7 @@ def _is_double_definition(text: str, tokens: list[_Token]) -> bool:
     )
 
 
-def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
+def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode:
     items: list[_Item] = []
     pending: list[_Group] = []
     # A "+" closes the fragment before it: groups and quotes that follow
@@ -726,7 +720,7 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
 
     def new_unit(unit: _Unit) -> None:
         for group in pending:
-            if not _apply_group(unit, group, tables, items):
+            if not _apply_group(unit, group, lexicon, items):
                 raise ParseError("signifier does not fit what follows it", full, group.pos)
         pending.clear()
         items.append(unit)
@@ -735,7 +729,7 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
     while i < len(tokens):
         token = tokens[i]
         if token.kind == "WORD":
-            found = _try_hidden_run(tokens, i, tables, full)
+            found = _try_hidden_run(tokens, i, lexicon, full)
             if found:
                 unit, i = found
                 new_unit(unit)
@@ -750,7 +744,7 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
         if token.kind == "GROUP":
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             if nxt is not None and nxt.kind in ("STAR", "LT"):
-                source = _operand_node(token.text, full, token.pos + 1, tables)
+                source = _operand_node(token.text, full, token.pos + 1, lexicon)
                 node: WordplayNode
                 if nxt.kind == "STAR":
                     node = Anagram(source, "")
@@ -759,7 +753,7 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
                 new_unit(_Unit(node, token.pos))
                 i += 2
                 continue
-            group = _classify_group(token, tables, full)
+            group = _classify_group(token, lexicon, full)
             if group.kind == "dd":
                 raise ParseError("unexpected DD marker", full, token.pos)
             if group.kind == "commentary":
@@ -777,7 +771,7 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
             last = items[-1] if items and isinstance(items[-1], _Unit) else None
             if len(items) == boundary:
                 last = None
-            if last is not None and _apply_group(last, group, tables, items, boundary):
+            if last is not None and _apply_group(last, group, lexicon, items, boundary):
                 i += 1
                 continue
             if all(r[0] in ("sig", "table_sig", "homo_ind", "commentary") for r in group.parts):
@@ -822,10 +816,10 @@ def _assemble(tokens: list[_Token], full: str, tables: _Tables) -> WordplayNode:
 
     if pending:
         raise ParseError("dangling signifier group", full, pending[0].pos)
-    return _resolve_structure(items, full, tables)
+    return _resolve_structure(items, full, lexicon)
 
 
-def _resolve_structure(items: list[_Item], full: str, tables: _Tables) -> WordplayNode:
+def _resolve_structure(items: list[_Item], full: str, lexicon: Lexicon) -> WordplayNode:
     """Turn the flat item list into a tree, resolving container phrases."""
     nodes: list[tuple[WordplayNode, Optional[int]]] = []
 
@@ -870,7 +864,7 @@ def _resolve_structure(items: list[_Item], full: str, tables: _Tables) -> Wordpl
             if not all(isinstance(w, _Word) for w in window):
                 continue
             candidate = " ".join(w.text for w in window).casefold()
-            found = tables.signifiers.get(candidate, frozenset())
+            found = lexicon.actions(candidate)
             if found & _CONTAINER_ACTIONS:
                 phrase, actions, span = " ".join(w.text for w in window), found, width
                 break
@@ -939,28 +933,22 @@ def _resolve_structure(items: list[_Item], full: str, tables: _Tables) -> Wordpl
     return Sequence(tuple(plain))
 
 
-def parse_wordplay(
-    annotation: str,
-    *,
-    signifiers: Optional[dict[str, frozenset[ActionKind]]] = None,
-    abbreviations: Optional[dict[str, set[str]]] = None,
-) -> WordplayNode:
+def parse_wordplay(annotation: str, lexicon: Optional[Lexicon] = None) -> WordplayNode:
     """Parse a wordplay annotation into its node tree.
 
-    ``signifiers`` maps case-folded phrases to the actions they can mark
-    and ``abbreviations`` maps case-folded phrases to known short forms;
-    both default to the packaged seed tables.
+    ``lexicon`` says which phrases are signifiers (``Lexicon.actions``) and
+    which short glosses are abbreviations (``Lexicon.short_forms``); it
+    should be the lexicon the resulting proof is verified against.
+    ``None`` means the packaged ``seed_lexicon()``.
     """
     if not annotation or not annotation.strip():
         raise ParseError("empty annotation", annotation, 0)
-    tables = _Tables(
-        signifiers if signifiers is not None else lexfiles.seed_indicator_table(),
-        abbreviations if abbreviations is not None else lexfiles.seed_abbreviation_inverse(),
-    )
+    if lexicon is None:
+        lexicon = seed_lexicon()
     tokens = _tokenize(annotation, annotation)
     if _is_double_definition(annotation, tokens):
         return DoubleDefinition()
-    return _assemble(tokens, annotation, tables)
+    return _assemble(tokens, annotation, lexicon)
 
 
 # --------------------------------------------------------------------------
@@ -1058,18 +1046,16 @@ def _render_hidden(node: Hidden) -> str:
     return text
 
 
-def _render_container(node: Container) -> str:
-    tables = _default_tables()
+def _render_container(node: Container, lexicon: Lexicon) -> str:
     if isinstance(node.outer, (Literal, SynonymOf, AbbrevOf)) and node.outer_split != 1:
         letters = node.outer.letters
         marked = letters[: node.outer_split] + "/" + letters[node.outer_split :]
         outer_text = _leaf_text(node.outer, marked)
     else:
-        outer_text = render_wordplay(node.outer)
-    inner_text = render_wordplay(node.inner)
-    fold = node.indicator.casefold()
+        outer_text = render_wordplay(node.outer, lexicon)
+    inner_text = render_wordplay(node.inner, lexicon)
     wanted = ActionKind.GOES_INSIDE if node.inserted else ActionKind.GOES_OUTSIDE
-    if node.indicator and wanted in tables.signifiers.get(fold, ()):
+    if node.indicator and wanted in lexicon.actions(node.indicator):
         connector = node.indicator
     else:
         connector = "in" if node.inserted else "around"
@@ -1096,21 +1082,27 @@ def _render_homophone(node: Homophone) -> str:
     return text
 
 
-def _operand_text(node: WordplayNode) -> str:
+def _operand_text(node: WordplayNode, lexicon: Lexicon) -> str:
     if isinstance(node, Literal):
         return node.letters
-    return render_wordplay(node)
+    return render_wordplay(node, lexicon)
 
 
-def render_wordplay(node: WordplayNode) -> str:
-    """Render a node tree in canonical notation; parse_wordplay inverts it."""
+def render_wordplay(node: WordplayNode, lexicon: Optional[Lexicon] = None) -> str:
+    """Render a node tree in canonical notation; parse_wordplay inverts it.
+
+    A container connector is written inline only when ``lexicon`` (``None``
+    means ``seed_lexicon()``) knows it, so parse with the same lexicon.
+    """
+    if lexicon is None:
+        lexicon = seed_lexicon()
     if isinstance(node, (Literal, SynonymOf, AbbrevOf)):
         return _leaf_text(node)
     if isinstance(node, Anagram):
-        text = f"({_operand_text(node.source)})*"
+        text = f"({_operand_text(node.source, lexicon)})*"
         return f"{text} (*{node.indicator})" if node.indicator else text
     if isinstance(node, Reversal):
-        text = f"({_operand_text(node.source)})<"
+        text = f"({_operand_text(node.source, lexicon)})<"
         return f"{text} (<{node.indicator})" if node.indicator else text
     if isinstance(node, Deletion):
         return _render_deletion(node)
@@ -1119,13 +1111,13 @@ def render_wordplay(node: WordplayNode) -> str:
     if isinstance(node, Hidden):
         return _render_hidden(node)
     if isinstance(node, Container):
-        return _render_container(node)
+        return _render_container(node, lexicon)
     if isinstance(node, Homophone):
         return _render_homophone(node)
     if isinstance(node, DoubleDefinition):
         return "DD"
     if isinstance(node, Sequence):
-        return " + ".join(render_wordplay(p) for p in node.parts)
+        return " + ".join(render_wordplay(p, lexicon) for p in node.parts)
     raise TypeError(f"not a wordplay node: {node!r}")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from cryptic_prover import lexfiles
 from cryptic_prover.core import (
@@ -63,8 +63,8 @@ class Lexicon:
     maps a phrase to candidate answers, ``indicators`` maps a signifier
     phrase to the actions it can mark, ``homophone_pairs`` holds unordered
     sound-alike pairs and ``wordlist`` holds known crossword answers.
-    ``synonym_fallback`` may widen is_synonym beyond the thesaurus; it is
-    called with (phrase, candidate) only after exact lookups fail.
+    ``actions`` and ``short_forms`` expose the signifier and short-form
+    tables to the wordplay parser, so notation and proofs read one lexicon.
     """
 
     def __init__(
@@ -75,7 +75,6 @@ class Lexicon:
         indicators: Optional[dict[str, Iterable[ActionKind]]] = None,
         homophone_pairs: Optional[Iterable[frozenset[str]]] = None,
         wordlist: Optional[Iterable[str]] = None,
-        synonym_fallback: Optional[Callable[[str, str], bool]] = None,
     ):
         self._expansions: dict[str, tuple[str, ...]] = {}
         self._shorts_by_phrase: dict[str, tuple[str, ...]] = {}
@@ -98,16 +97,14 @@ class Lexicon:
         self.wordlist: tuple[str, ...] = tuple(
             dict.fromkeys(normalize_letters(w) for w in (wordlist or ()) if normalize_letters(w))
         )
-        self.synonym_fallback = synonym_fallback
 
-    @property
-    def indicators(self) -> dict[ActionKind, frozenset[str]]:
-        """Signifier phrases grouped by the action they can mark."""
-        grouped: dict[ActionKind, set[str]] = {}
-        for phrase, actions in self._actions_by_phrase.items():
-            for action in actions:
-                grouped.setdefault(action, set()).add(phrase)
-        return {action: frozenset(phrases) for action, phrases in grouped.items()}
+    def actions(self, phrase: str) -> frozenset[ActionKind]:
+        """The wordplay actions the phrase can signify; empty if none."""
+        return self._actions_by_phrase.get(phrase.strip().casefold(), frozenset())
+
+    def short_forms(self, phrase: str) -> tuple[str, ...]:
+        """The normalised short forms the phrase abbreviates to, in file order."""
+        return self._shorts_by_phrase.get(phrase.strip().casefold(), ())
 
     @classmethod
     def from_files(
@@ -118,7 +115,6 @@ class Lexicon:
         indicators: Optional[Sequence[Union[str, Path]]] = None,
         homophones: Union[str, Path, None] = None,
         wordlist: Union[str, Path, None] = None,
-        synonym_fallback: Optional[Callable[[str, str], bool]] = None,
     ) -> "Lexicon":
         indicator_table = lexfiles.load_indicators(indicators) if indicators else {}
         return cls(
@@ -127,7 +123,6 @@ class Lexicon:
             indicators=indicator_table,
             homophone_pairs=lexfiles.load_homophones(homophones) if homophones else None,
             wordlist=lexfiles.load_wordlist(wordlist) if wordlist else None,
-            synonym_fallback=synonym_fallback,
         )
 
     # -- predicates ---------------------------------------------------------
@@ -145,8 +140,6 @@ class Lexicon:
         known = normalize_letters(phrase) == target and bool(target)
         if not known and entries is not None:
             known = any(normalize_letters(entry) == target for entry in entries)
-        if not known and self.synonym_fallback is not None:
-            known = bool(self.synonym_fallback(phrase, candidate))
         notes: list[str] = []
         if not known:
             if entries:
@@ -174,8 +167,7 @@ class Lexicon:
     def is_abbreviation(self, phrase: str, abbr: str) -> OracleVerdict:
         """Whether the clue phrase is a recognised short form of ``abbr``."""
         target = normalize_letters(abbr)
-        fold = phrase.strip().casefold()
-        shorts = self._shorts_by_phrase.get(fold, ())
+        shorts = self.short_forms(phrase)
         if target and target in shorts:
             return OracleVerdict(True)
         notes = []
@@ -192,18 +184,18 @@ class Lexicon:
 
     def action_type(self, phrase: str, action: ActionKind) -> OracleVerdict:
         """Whether the phrase can signify the given wordplay action."""
-        fold = phrase.strip().casefold()
-        if action in self._actions_by_phrase.get(fold, ()):
+        actions = self.actions(phrase)
+        if action in actions:
             return OracleVerdict(True)
         notes = []
-        sub = self._matching_sub_phrase(fold, action)
+        sub = self._matching_sub_phrase(phrase.strip().casefold(), action)
         if sub is not None:
             notes.append(
                 f"{phrase!r} itself does not suggest Action.{action.name}, "
                 f"but {sub!r} does"
             )
         for other in ActionKind:
-            if other is not action and other in self._actions_by_phrase.get(fold, ()):
+            if other is not action and other in actions:
                 notes.append(
                     f"{phrase!r} does not suggest Action.{action.name}, "
                     f"but maybe Action.{other.name}"
@@ -217,7 +209,7 @@ class Lexicon:
         for width in range(len(words) - 1, 0, -1):
             for start in range(0, len(words) - width + 1):
                 candidate = " ".join(words[start : start + width])
-                if action in self._actions_by_phrase.get(candidate, ()):
+                if action in self.actions(candidate):
                     return candidate
         return None
 
@@ -257,13 +249,4 @@ class Lexicon:
 @lru_cache(maxsize=1)
 def seed_lexicon() -> Lexicon:
     """The packaged lexicon covering the worked examples and fixtures."""
-    return Lexicon.from_files(
-        abbreviations=lexfiles.seed_path("lexicon/abbreviations.tsv"),
-        thesaurus=lexfiles.seed_path("lexicon/thesaurus.tsv"),
-        indicators=[
-            lexfiles.seed_path("lexicon/indicators.tsv"),
-            lexfiles.seed_path("lexicon/indicators_extra.tsv"),
-        ],
-        homophones=lexfiles.seed_path("lexicon/homophones.tsv"),
-        wordlist=lexfiles.seed_path("lexicon/wordlist.txt"),
-    )
+    return Lexicon.from_files(**lexfiles.seed_lexicon_files())

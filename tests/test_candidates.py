@@ -18,7 +18,6 @@ from cryptic_prover.candidates import (
     FormatError,
     closest_candidates,
     cosine,
-    embedding_synonym_fallback,
     load_embeddings,
     pseudo_embedding,
     write_pseudo_embeddings,
@@ -400,31 +399,3 @@ class TestPseudoEmbeddings:
         write_pseudo_embeddings(wordlist, fresh)
         assert fresh.read_bytes() == FIXTURE.read_bytes()
 
-
-class TestSynonymFallback:
-    def test_close_vectors_pass_the_threshold(self):
-        table = EmbeddingTable(
-            dimension=2,
-            vectors={
-                "hot": np.array([1.0, 0.0]),
-                "warm": np.array([0.9, 0.1]),
-                "cold": np.array([-1.0, 0.0]),
-            },
-        )
-        fallback = embedding_synonym_fallback(table, threshold=0.55)
-        assert fallback("hot", "warm")
-        assert not fallback("hot", "cold")
-
-    def test_threshold_is_configurable(self):
-        table = EmbeddingTable(
-            dimension=2,
-            vectors={"hot": np.array([1.0, 0.0]), "mild": np.array([1.0, 1.0])},
-        )
-        loose = embedding_synonym_fallback(table, threshold=0.5)
-        strict = embedding_synonym_fallback(table, threshold=0.99)
-        assert loose("hot", "mild")
-        assert not strict("hot", "mild")
-
-    def test_out_of_vocabulary_pairs_never_pass(self, table):
-        fallback = embedding_synonym_fallback(table)
-        assert not fallback("qqqq", "zzzz")

@@ -138,6 +138,41 @@ class TestFormalize:
         assert payload["script"].startswith("proof answer='CAMERA'")
 
 
+class TestConfiguredSignifiers:
+    """An indicators file named in the config reaches the parser and the mock."""
+
+    HIDDEN = "[fo]UND ERMINE D[eer] (conceals)"
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        (tmp_path / "extra.tsv").write_text("SUBSTRING\tconceals\n", encoding="utf-8")
+        seed = [str(path) for path in lexfiles.seed_lexicon_files()["indicators"]]
+        path = tmp_path / "config.yaml"
+        path.write_text(json.dumps({"indicators": seed + ["extra.tsv"]}), encoding="utf-8")
+        return str(path)
+
+    def test_parse_reads_the_configured_signifiers(self, config, capsys):
+        assert main(["--config", config, "parse", "--json", self.HIDDEN]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tree"]["kind"] == "Hidden"
+        assert payload["letters"] == "UNDERMINED"
+
+    def test_mock_generator_parses_with_the_configured_signifiers(self, config, capsys):
+        args = [
+            "--config", config,
+            "formalize",
+            "--clue", "Found ermine, deer conceals damaged",
+            "--pattern", "10",
+            "--answer", "UNDERMINED",
+            "--wordplay", self.HIDDEN,
+            "--definition", "Found ermine, deer conceals {damaged}",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "assert action_type('conceals', Action.SUBSTRING)" in out
+        assert "rewrites_used: 0" in out
+
+
 class TestCandidates:
     def test_ranked_words_with_similarities(self, capsys):
         assert main(["candidates", "--span", "escort", "--pattern", "6",

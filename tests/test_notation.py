@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cryptic_prover import lexfiles
 from cryptic_prover import notation as n
 from cryptic_prover.core import ActionKind
+from cryptic_prover.oracles import Lexicon, seed_lexicon
 
 
 WORKED = [
@@ -224,6 +225,27 @@ def test_round_trip_on_worked_examples(annotation, _answer):
     assert n.parse_wordplay(n.render_wordplay(node)) == node
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        n.Container(n.SynonymOf("outlaw", "BAN"), n.SynonymOf("leader", "KING"), "clutching", 2),
+        n.Container(n.Literal("CD"), n.AbbrevOf("zero", "O"), "boarding", 1, inserted=True),
+    ],
+)
+def test_round_trip_under_a_custom_lexicon(node):
+    # Neither connector is in the seed lexicon, so both directions must use this one.
+    lexicon = Lexicon(
+        indicators={
+            "clutching": [ActionKind.GOES_OUTSIDE],
+            "boarding": [ActionKind.GOES_INSIDE],
+        },
+        abbreviations={"O": ["zero"]},
+    )
+    text = n.render_wordplay(node, lexicon)
+    assert "(" + node.indicator + ")" not in text
+    assert n.parse_wordplay(text, lexicon) == node
+
+
 # -- errors ------------------------------------------------------------------
 
 
@@ -288,20 +310,23 @@ def test_container_split_validation():
 # -- generated round trips ---------------------------------------------------
 
 
-_SIGNIFIERS = lexfiles.seed_indicator_table()
+_LEXICON = seed_lexicon()
+_SIGNIFIERS = lexfiles.load_indicators(lexfiles.seed_lexicon_files()["indicators"])
 _RESERVED = (
-    set(_SIGNIFIERS)
-    | set(lexfiles.seed_abbreviation_inverse())
-    | {"short form", "abbreviation", "abbrev", "abbr", "for short", "short for"}
+    {"short form", "abbreviation", "abbrev", "abbr", "for short", "short for"}
     | {"of", "to", "on", "a", "an", "the", "and", "it", "is", "for", "with"}
 )
+
+
+def _plain(word):
+    """A word the parser reads as a gloss: not a signifier, abbreviated phrase or marker."""
+    return not (_LEXICON.actions(word) or _LEXICON.short_forms(word) or word in _RESERVED)
+
 
 caps = st.text(alphabet=string.ascii_uppercase, min_size=2, max_size=6).filter(
     lambda s: s != "DD"
 )
-words = st.text(alphabet="abcdefgh", min_size=2, max_size=7).filter(
-    lambda w: w.casefold() not in _RESERVED
-)
+words = st.text(alphabet="abcdefgh", min_size=2, max_size=7).filter(_plain)
 
 
 def indicator_for(action):
@@ -339,9 +364,7 @@ def deletions(draw):
 
 
 # Two-letter words are left out: "A[a]" reads as a deletion, not an initial.
-initial_words = st.text(alphabet="abcdefgh", min_size=3, max_size=7).filter(
-    lambda w: w.casefold() not in _RESERVED
-)
+initial_words = st.text(alphabet="abcdefgh", min_size=3, max_size=7).filter(_plain)
 
 
 @st.composite

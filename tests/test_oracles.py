@@ -55,20 +55,6 @@ class TestIsSynonym:
     def test_no_article_stripping(self, lex):
         assert not lex.is_synonym("an arrived", "CAME").ok
 
-    def test_fallback_consulted_after_exact_misses(self):
-        calls = []
-
-        def fallback(phrase, candidate):
-            calls.append((phrase, candidate))
-            return candidate == "BUS"
-
-        lexicon = Lexicon(synonyms={"arrived": ["came"]}, synonym_fallback=fallback)
-        assert lexicon.is_synonym("arrived", "CAME").ok
-        assert calls == []  # exact hit short-circuits
-        assert lexicon.is_synonym("big vehicle", "BUS").ok
-        assert not lexicon.is_synonym("big vehicle", "CAR").ok
-        assert calls == [("big vehicle", "BUS"), ("big vehicle", "CAR")]
-
 
 class TestIsAbbreviation:
     def test_seed_hits(self, lex):
@@ -211,10 +197,12 @@ class TestVerdictAndLexicon:
         second = lex.is_abbreviation("an Artist", "RA")
         assert first == second
 
-    def test_indicators_grouped_by_action(self, lex):
-        grouped = lex.indicators
-        assert "shredded" in grouped[ActionKind.ANAGRAM]
-        assert "we hear" in grouped[ActionKind.HOMOPHONE]
+    def test_actions_and_short_forms_fold_the_phrase(self, lex):
+        assert ActionKind.ANAGRAM in lex.actions(" Shredded ")
+        assert ActionKind.HOMOPHONE in lex.actions("We hear")
+        assert lex.actions("outlaw") == frozenset()
+        assert "RA" in lex.short_forms(" Artist ")
+        assert lex.short_forms("outlaw") == ()
 
     def test_from_files(self, tmp_path):
         (tmp_path / "abbr.tsv").write_text("Z\tzero\n", encoding="utf-8")
