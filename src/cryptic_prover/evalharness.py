@@ -14,13 +14,15 @@ those methods; ``tabulate`` turns many comparisons into the win/draw/
 loss percentage table.
 
 Records persist as JSON lines, appended as each clue finishes, so an
-interrupted run resumes without redoing finished work.
+interrupted run resumes without redoing finished work; a last line the
+interruption left half written is dropped and redone.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -313,11 +315,47 @@ class FileAnnotationSource:
 
 
 def load_records(path: Union[str, Path]) -> list[SolveRecord]:
+    """The records of a results file, one JSON object per line.
+
+    A last line with no newline is a write that was cut short: it is
+    dropped with a warning.  Any other malformed line raises ValueError
+    naming its line number.  The file itself is left as it is.
+    """
+    # Split off the tail before decoding: a cut can fall inside a character.
+    complete, _, partial = Path(path).read_bytes().rpartition(b"\n")
+    if partial:
+        log.warning(
+            "%s: dropping a partial last line (%d bytes): an interrupted write",
+            path,
+            len(partial),
+        )
+    try:
+        lines = complete.decode("utf-8").split("\n")
+    except UnicodeDecodeError as error:
+        number = complete.count(b"\n", 0, error.start) + 1
+        raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
             records.append(SolveRecord.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as error:
+            raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
     return records
+
+
+def _cut_partial_line(path: Path) -> None:
+    """Truncate the file after its last newline, as load_records reads it."""
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
 def _append_records(path: Union[str, Path], records: Iterable[SolveRecord]) -> None:
@@ -372,6 +410,7 @@ def run_experiment(
         path = Path(results_path)
         if resume and path.exists():
             existing = load_records(path)
+            _cut_partial_line(path)
             done = {(r.clue_id, r.candidate, r.sample_index) for r in existing}
         else:
             path.write_text("", encoding="utf-8")

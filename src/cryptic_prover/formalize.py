@@ -413,11 +413,16 @@ def prove_with_rewrites(
     """Draft, verify, and rewrite until proved or out of attempts.
 
     ``max_calls`` may be lowered (a tighter rewrite cap) but never
-    raised past the published budget of six.
+    raised past the published budget of six.  A reply the generator
+    already sent in this request is not verified again: its outcome and
+    failure report are reused, which is exact because verification is a
+    pure function of the script and the lexicon.
     """
     if not 1 <= max_calls <= MAX_GENERATOR_CALLS:
         raise ValueError(f"max_calls must be 1..{MAX_GENERATOR_CALLS}, got {max_calls}")
     attempts: list[Attempt] = []
+    # Reply text -> (outcome, failure report or None when proved).
+    verdicts: dict[str, tuple[VerificationOutcome, Optional[str]]] = {}
     report: Optional[str] = None
     previous: Optional[str] = None
     for index in range(max_calls):
@@ -426,12 +431,15 @@ def prove_with_rewrites(
             response = generator.generate(prompt)
         except GeneratorUnavailable as error:
             return GeneratorTranscript(tuple(attempts), FAIL, failure_reason=str(error))
-        outcome = verify_text(response, lexicon)
+        if response not in verdicts:
+            outcome = verify_text(response, lexicon)
+            proved = outcome.status is ProofStatus.PROVED
+            verdicts[response] = (outcome, None if proved else render_failure_report(outcome))
+        outcome, failure_report = verdicts[response]
         attempts.append(Attempt(prompt, response, outcome))
-        if outcome.status is ProofStatus.PROVED:
+        if failure_report is None:
             return GeneratorTranscript(tuple(attempts), index)
-        previous = response
-        report = render_failure_report(outcome)
+        previous, report = response, failure_report
     if max_calls < MAX_GENERATOR_CALLS:
         return GeneratorTranscript(
             tuple(attempts),
@@ -443,17 +451,18 @@ def prove_with_rewrites(
 
 def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> None:
     """One JSON line per attempt: prompt, response, status, failure report."""
+    reports: dict[VerificationOutcome, str] = {}
     lines = []
     for attempt in transcript.attempts:
+        outcome = attempt.outcome
+        if outcome not in reports:
+            proved = outcome.status is ProofStatus.PROVED
+            reports[outcome] = "" if proved else render_failure_report(outcome)
         record = {
             "prompt": attempt.prompt,
             "response": attempt.response,
-            "status": attempt.outcome.status.name,
-            "failure_report": (
-                ""
-                if attempt.outcome.status is ProofStatus.PROVED
-                else render_failure_report(attempt.outcome)
-            ),
+            "status": outcome.status.name,
+            "failure_report": reports[outcome],
         }
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -489,9 +498,14 @@ class CompilerBackedMock:
         self.fail_first = fail_first
         self.lexicon = lexicon
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def generate(self, prompt: str) -> str:
-        self.calls += 1
+        # Count and decide together: under --workers, a spoiled reply
+        # belongs to one of the first fail_first calls, whichever thread.
+        with self._calls_lock:
+            self.calls += 1
+            spoil = self.calls <= self.fail_first
         headers = list(_HEADER_LINE.finditer(prompt))
         tail = prompt[headers[-1].start() :] if headers else ""
         fields = {
@@ -520,7 +534,7 @@ class CompilerBackedMock:
                 f'proof answer="X" clue="unparseable request" pattern="1"\n'
                 f"# {type(error).__name__}\n"
             )
-        if self.calls <= self.fail_first:
+        if spoil:
             spoiled = script.statements + (
                 AssertEquality(StringLit("QQ"), StringLit("ZZ")),
             )

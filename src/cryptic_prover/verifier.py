@@ -30,6 +30,14 @@ Line by line:
   names a wordplay action (``IS_OUTSIDE`` is accepted for
   ``GOES_OUTSIDE``).
 
+``verify_text`` takes a model reply as sent.  When its first non-blank
+line opens a Markdown code fence (```` ```python ````) and its last
+non-blank line closes it, both fence lines are read as blank lines, so
+a fenced proof is checked as its body and error line numbers still
+count from the top of the reply.  Verification is a pure function of
+the script and the lexicon, so ``formalize.prove_with_rewrites`` checks
+a reply the generator repeats within one request only once.
+
 Verification never raises on a well-formed proof: every false
 assertion becomes a failure entry carrying a near-miss hint, and the
 whole list is collected before judgement so one rewrite can fix
@@ -43,10 +51,11 @@ test suite), because generators consume it verbatim when rewriting.
 from __future__ import annotations
 
 import difflib
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from cryptic_prover import lexfiles
 from cryptic_prover.core import (
@@ -211,54 +220,49 @@ _BUILTIN_ARITY = {
 _KNOWN_NAMES = sorted(_PREDICATES) + sorted(_BUILTIN_ARITY)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME STRING LPAREN RPAREN COMMA PLUS EQEQ ASSIGN DOT
     text: str
     line: int
     column: int
 
 
+# One token per match, after any blanks.  NAME is \w+ because \w is
+# exactly str.isalnum() or "_"; a name must also start with a letter or
+# "_", which _tokenize checks.  END is a comment or the end of the line.
+_TOKEN = re.compile(
+    r"""[ \t]*(?:
+        (?P<STRING>"[^"]*"|'[^']*')
+      | (?P<NAME>\w+)
+      | (?P<EQEQ>==) | (?P<ASSIGN>=)
+      | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<PLUS>\+) | (?P<DOT>\.)
+      | (?P<END>\#|\Z)
+      | (?P<OTHER>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def _tokenize(text: str, line_no: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch in "\"'":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal", line_no, col)
-            tokens.append(_Token("STRING", text[i + 1 : end], line_no, col))
-            i = end + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch == "=":
-            if text[i : i + 2] == "==":
-                tokens.append(_Token("EQEQ", "==", line_no, col))
-                i += 2
-            else:
-                tokens.append(_Token("ASSIGN", "=", line_no, col))
-                i += 1
-            continue
-        simple = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "+": "PLUS", ".": "DOT"}
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, line_no, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, col)
-    return tokens
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        kind = match.lastgroup
+        if kind == "END":
+            return tokens
+        value = match.group(kind)
+        column = match.start(kind) + 1
+        if kind == "STRING":
+            value = value[1:-1]
+        elif kind == "OTHER":
+            if value in "\"'":
+                raise ParseError("unterminated string literal", line_no, column)
+            raise ParseError(f"unexpected character {value!r}", line_no, column)
+        elif kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", line_no, column)
+        tokens.append(_Token(kind, value, line_no, column))
+        pos = match.end()
 
 
 class _LineParser:
@@ -688,13 +692,34 @@ def verify(proof: ProofScript, lexicon: Lexicon) -> VerificationOutcome:
 
 
 def verify_text(script: str, lexicon: Lexicon) -> VerificationOutcome:
-    """Parse then verify, folding grammar breaches into the outcome."""
+    """Parse then verify, folding grammar breaches into the outcome.
+
+    A script wrapped in one Markdown code fence is checked as its body.
+    """
     try:
-        proof = parse_proof(script)
+        proof = parse_proof(_unfence(script))
     except ParseError as error:
         failure = Failure(index=-1, message=str(error), hint="")
         return VerificationOutcome(ProofStatus.PARSE_ERROR, (failure,), ())
     return verify(proof, lexicon)
+
+
+def _unfence(script: str) -> str:
+    """Blank the fence lines when one code fence wraps the whole script.
+
+    The fence lines become blank rather than go, so the line numbers in
+    a ParseError still match the script as sent.
+    """
+    if "```" not in script:
+        return script
+    lines = script.split("\n")
+    body = [index for index, line in enumerate(lines) if line.strip()]
+    first, last = body[0], body[-1]
+    opens = lines[first].lstrip().startswith("```")
+    if first < last and opens and lines[last].strip() == "```":
+        lines[first] = lines[last] = ""
+        return "\n".join(lines)
+    return script
 
 
 def _statement_message(statement: Statement) -> str:

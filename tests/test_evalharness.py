@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptic_prover import dataset, evalharness, lexfiles
@@ -49,6 +49,12 @@ def table():
 @pytest.fixture(scope="module")
 def wordlist():
     return lexfiles.load_wordlist(lexfiles.seed_path("lexicon/wordlist.txt"))
+
+
+@pytest.fixture(scope="module")
+def worked_clues():
+    docs = dataset.load_puzzles(lexfiles.seed_path("fixtures/worked_examples.yaml"))
+    return [clue for doc in docs for clue in doc.clues]
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +243,37 @@ class TestSolveRecord:
                 fh.write(json.dumps(item.to_dict()) + "\n")
         assert load_records(path) == [first, second]
 
+    def test_a_partial_last_line_is_dropped_with_a_warning(self, tmp_path, caplog):
+        first = record(rewrites=FAIL, reason="café closed")
+        line = json.dumps(first.to_dict(), ensure_ascii=False) + "\n"
+        data = line.encode("utf-8")
+        path = tmp_path / "records.jsonl"
+        cut = data.index("é".encode("utf-8")) + 1  # inside the character
+        for tail in (data[:cut], data[:-1], b"{", b"  "):
+            path.write_bytes(data + tail)
+            caplog.clear()
+            assert load_records(path) == [first]
+            assert "partial last line" in caplog.text
+            assert path.read_bytes() == data + tail
+
+    def test_only_newline_ends_a_record(self, tmp_path):
+        # ensure_ascii=False writes U+2028 raw; str.splitlines would split there.
+        first = record(rewrites=FAIL, reason="one\u2028two\x1cthree")
+        path = tmp_path / "records.jsonl"
+        line = json.dumps(first.to_dict(), ensure_ascii=False) + "\n"
+        path.write_text(line, encoding="utf-8")
+        assert load_records(path) == [first]
+
+    @pytest.mark.parametrize(
+        "bad", [b"not json", b'["a list"]', b'{"clue_id": "q"}', b"\xff\xfe"]
+    )
+    def test_a_malformed_line_names_its_number(self, tmp_path, bad):
+        good = json.dumps(record().to_dict()).encode("utf-8") + b"\n"
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(good + b"\n" + bad + b"\n" + good)
+        with pytest.raises(ValueError, match="line 3: malformed record"):
+            load_records(path)
+
     def test_rejects_out_of_band_rewrites(self):
         with pytest.raises(ValueError, match="rewrites"):
             record(rewrites=6)
@@ -372,6 +409,54 @@ class TestRunExperiment:
             r.to_dict().items() for r in full
         )
         assert len(load_records(path)) == 20
+
+    def test_resume_after_a_cut_at_every_record_boundary(
+        self, tmp_path, worked_clues, lexicon, table, wordlist
+    ):
+        path = tmp_path / "results.jsonl"
+        self.run(
+            worked_clues, lexicon, table, wordlist, results_path=path, samples_per_candidate=2
+        )
+        full = path.read_bytes()
+        ends = [index + 1 for index, byte in enumerate(full) if byte == ord("\n")]
+        assert len(ends) == 40
+        for end in [0] + ends:
+            path.write_bytes(full[:end])
+            self.run(
+                worked_clues,
+                lexicon,
+                table,
+                wordlist,
+                results_path=path,
+                samples_per_candidate=2,
+                resume=True,
+            )
+            assert path.read_bytes() == full, f"cut at byte {end}"
+
+    @settings(max_examples=20, deadline=None)
+    @given(cut=st.floats(0, 1, exclude_max=True))
+    def test_resume_after_a_cut_inside_a_record(
+        self, tmp_path_factory, worked_clues, lexicon, table, wordlist, cut
+    ):
+        path = tmp_path_factory.mktemp("cut") / "results.jsonl"
+        self.run(
+            worked_clues, lexicon, table, wordlist, results_path=path, samples_per_candidate=2
+        )
+        full = path.read_bytes()
+        end = int(cut * len(full))
+        if full[end - 1 : end] == b"\n":
+            end -= 1  # always inside a record; boundaries are tested above
+        path.write_bytes(full[:end])
+        self.run(
+            worked_clues,
+            lexicon,
+            table,
+            wordlist,
+            results_path=path,
+            samples_per_candidate=2,
+            resume=True,
+        )
+        assert path.read_bytes() == full
 
     @pytest.fixture
     def searches(self, monkeypatch):

@@ -1,6 +1,8 @@
 """Compiling annotations into proofs and the generate/verify/rewrite loop."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -29,6 +31,7 @@ from cryptic_prover.verifier import (
     ProofStatus,
     Severity,
     parse_proof,
+    render_failure_report,
     render_proof,
     verify,
     verify_text,
@@ -303,6 +306,63 @@ class TestRewriteLoop:
         response = CompilerBackedMock().generate("no request here at all")
         assert verify_text(response, lexicon).status is not ProofStatus.PROVED
 
+    def test_a_repeated_reply_is_verified_once(self, lexicon, monkeypatch):
+        good = render_proof(compile_clue(CAMERA))
+        a = good + "assert 'QQ' == 'ZZ'\n"
+        b = good + "assert 'AB' == 'CD'\n"
+        replies = [a, a, b, a, b, b]
+        verified, reported = [], []
+
+        def counting_verify(script, lex):
+            verified.append(script)
+            return verify_text(script, lex)
+
+        def counting_report(outcome):
+            reported.append(outcome)
+            return render_failure_report(outcome)
+
+        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        monkeypatch.setattr(formalize, "render_failure_report", counting_report)
+        request = request_for(CAMERA)
+        transcript = prove_with_rewrites(request, ScriptedReplayMock(replies), lexicon)
+
+        assert verified == [a, b]
+        assert len(reported) == 2
+        assert transcript.rewrites_used == "FAIL"
+        # What the loop gave before it kept verdicts: every reply verified
+        # afresh, every rewrite prompt carrying that reply's report.
+        outcomes = [verify_text(reply, lexicon) for reply in replies]
+        assert [attempt.outcome for attempt in transcript.attempts] == outcomes
+        assert [attempt.response for attempt in transcript.attempts] == replies
+        prompts = [build_prompt(request)] + [
+            build_prompt(request, render_failure_report(outcome), reply)
+            for reply, outcome in zip(replies, outcomes)
+        ]
+        assert [attempt.prompt for attempt in transcript.attempts] == prompts[:-1]
+
+    def test_mock_spoils_exactly_fail_first_replies_across_threads(self):
+        generator = CompilerBackedMock(fail_first=40)
+        prompt = build_prompt(request_for(CAMERA))
+        replies = []
+
+        def work():
+            for _ in range(25):
+                replies.append(generator.generate(prompt))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(replies) == generator.calls == 200
+        assert sum("'QQ' == 'ZZ'" in reply for reply in replies) == 40
+
 
 class TestTranscript:
     def test_solved_transcript_counts_attempts(self):
@@ -336,6 +396,26 @@ class TestTranscript:
         replay = ScriptedReplayMock.from_transcript(path)
         again = prove_with_rewrites(request_for(CAMERA), replay, lexicon)
         assert again.rewrites_used == transcript.rewrites_used
+
+    def test_saved_transcript_renders_each_attempt_report(self, tmp_path, lexicon):
+        good = render_proof(compile_clue(CAMERA))
+        bad = good + "assert 'QQ' == 'ZZ'\n"
+        replay = ScriptedReplayMock([bad, bad, "garbage\n", bad, good])
+        transcript = prove_with_rewrites(request_for(CAMERA), replay, lexicon)
+        path = tmp_path / "camera.jsonl"
+        save_transcript(transcript, path)
+        # The format as first written: one report rendered per attempt.
+        expected = []
+        for attempt in transcript.attempts:
+            proved = attempt.outcome.status is ProofStatus.PROVED
+            record = {
+                "prompt": attempt.prompt,
+                "response": attempt.response,
+                "status": attempt.outcome.status.name,
+                "failure_report": "" if proved else render_failure_report(attempt.outcome),
+            }
+            expected.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_saved_transcripts_are_byte_identical_across_runs(self, tmp_path, lexicon):
         paths = []

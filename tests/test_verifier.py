@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryptic_prover import lexfiles
+from cryptic_prover import lexfiles, verifier
 from cryptic_prover.core import ActionKind, normalize_letters
 from cryptic_prover.oracles import seed_lexicon
 from cryptic_prover.verifier import (
@@ -484,6 +484,32 @@ class TestVerifyText:
     def test_good_text_verifies(self, lex):
         assert verify_text(camera_proof_text(), lex).status is ProofStatus.PROVED
 
+    def test_fenced_proof_proves(self, lex):
+        for opener in ("```python", "```", "  ```proof"):
+            fenced = f"\n{opener}\n{camera_proof_text()}```\n\n"
+            assert verify_text(fenced, lex).status is ProofStatus.PROVED
+
+    def test_fenced_bad_proof_reports_as_unfenced(self, lex):
+        text = rude_proof_text()
+        fenced = verify_text(f"```python\n{text}```\n", lex)
+        assert fenced.status is ProofStatus.FAILED
+        assert render_failure_report(fenced) == render_failure_report(verify_text(text, lex))
+
+    def test_fenced_parse_error_counts_lines_from_the_fence(self, lex):
+        script = 'proof answer="A" clue="c" pattern="1"\nassert "A" %\n'
+        plain = render_failure_report(verify_text(script, lex))
+        fenced = render_failure_report(verify_text(f"```\n{script}```", lex))
+        assert "at line 2, column 12" in plain
+        assert fenced == plain.replace("at line 2,", "at line 3,")
+
+    def test_unclosed_fence_is_a_parse_error(self, lex):
+        for script in (
+            f"```python\n{camera_proof_text()}",
+            f"{camera_proof_text()}```\n",
+            "```\n",
+        ):
+            assert verify_text(script, lex).status is ProofStatus.PARSE_ERROR
+
 
 class TestFailureReport:
     def test_rude_report_matches_golden(self, lex):
@@ -600,3 +626,87 @@ def test_single_letter_mutations_break_proofs(lex):
                 assert outcome.status is ProofStatus.FAILED, render_statement(mutant)
                 total += 1
     assert total > 40
+
+
+# -- the tokenizer against its character-by-character reference --------------
+
+
+def _reference_tokenize(text: str, line_no: int) -> list[tuple]:
+    """The tokenizer as first written: one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch in "\"'":
+            end = text.find(ch, i + 1)
+            if end < 0:
+                raise ParseError("unterminated string literal", line_no, col)
+            tokens.append(("STRING", text[i + 1 : end], line_no, col))
+            i = end + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], line_no, col))
+            i = j
+            continue
+        if ch == "=":
+            if text[i : i + 2] == "==":
+                tokens.append(("EQEQ", "==", line_no, col))
+                i += 2
+            else:
+                tokens.append(("ASSIGN", "=", line_no, col))
+                i += 1
+            continue
+        simple = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "+": "PLUS", ".": "DOT"}
+        if ch in simple:
+            tokens.append((simple[ch], ch, line_no, col))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line_no, col)
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return [tuple(token) for token in tokenize(text, 7)]
+    except ParseError as error:
+        return (str(error), error.line, error.column)
+
+
+# ², ½ and ٣ are \w characters for which str.isalpha() is false.
+TOKEN_ALPHABET = "ab_Z09 \t\"'#()+,.=é½²٣-!"
+
+
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens_or_error(verifier._tokenize, text) == _tokens_or_error(
+        _reference_tokenize, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'assert is_synonym("a b", \'C\', pattern="6") == x.Y # note "',
+        "²x",
+        "x² ½",
+        "٣a",
+        "_a٣",
+        "\"open",
+        "a == = ==== b",
+        "tab\there\r",
+        "",
+    ],
+)
+def test_tokenizer_matches_the_reference_on_edge_cases(text):
+    assert _tokens_or_error(verifier._tokenize, text) == _tokens_or_error(
+        _reference_tokenize, text
+    )
