@@ -54,7 +54,6 @@ class EmbeddingTable:
 
     dimension: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    source: str = ""
 
     def __post_init__(self):
         for word, vec in self.vectors.items():
@@ -65,16 +64,6 @@ class EmbeddingTable:
                 )
         # The decoy search's index for the last word list it saw.
         object.__setattr__(self, "_word_index", None)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __contains__(self, word: str) -> bool:
-        return word.casefold() in self.vectors
-
-    def vector(self, word: str):
-        """The vector for one word, or None when out of vocabulary."""
-        return self.vectors.get(word.casefold())
 
     def embed_phrase(self, phrase: str) -> np.ndarray:
         """Mean of the in-vocabulary token vectors; zero when none are."""
@@ -119,7 +108,7 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
             log.warning("duplicate embedding for %r at line %d kept first", word, number)
             continue
         vectors[word] = values
-    return EmbeddingTable(dimension=dimension, vectors=vectors, source=str(path))
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
 def cosine(u, v) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 
@@ -121,10 +121,6 @@ class Direction(Enum):
         if letter == "D":
             return cls.DOWN
         raise ValueError(f"direction must be 'A' or 'D', got {letter!r}")
-
-    @property
-    def letter(self) -> str:
-        return "A" if self is Direction.ACROSS else "D"
 
 
 class ActionKind(Enum):
@@ -251,7 +247,6 @@ class Clue:
     gold_definition: str | None = None
     gold_wordplay: str | None = None
     clue_id: str = ""
-    extras: tuple[tuple[str, str], ...] = field(default=(), compare=True)
 
     def __post_init__(self) -> None:
         if self.gold_answer is not None and not pattern_matches(

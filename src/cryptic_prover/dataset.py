@@ -1,4 +1,4 @@
-"""Reading and writing annotated puzzle files.
+"""Reading annotated puzzle files.
 
 A puzzle file is a YAML stream; each document is one puzzle with ``title``,
 ``url``, ``author`` and a ``clues`` list.  Each clue entry carries:
@@ -9,9 +9,7 @@ A puzzle file is a YAML stream; each document is one puzzle with ``title``,
 * ``answer``   - the gold answer, when known
 * ``wordplay`` - community-notation wordplay annotation, when known
 
-Unknown keys on a clue entry are preserved on round-trip but otherwise
-ignored.  ``save_puzzles`` writes keys in a canonical order so that
-load -> save -> load is a fixed point.
+Unknown keys on a clue entry are ignored.
 
 Clues get stable identifiers of the form ``<url-slug>#<index>`` so that
 experiment records can be resumed and joined across runs.
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 from urllib.parse import urlparse
 
 import yaml
@@ -29,7 +27,6 @@ import yaml
 from cryptic_prover.core import Clue, DefinitionSpan, Direction, Pattern, PatternError
 
 _DOC_KEYS = ("title", "url", "author", "clues")
-_CLUE_KEYS = ("clue", "pattern", "ad", "answer", "wordplay")
 _REQUIRED_CLUE_KEYS = ("clue", "pattern")
 
 
@@ -45,8 +42,7 @@ def extract_definition(annotated: str) -> tuple[list[DefinitionSpan], str]:
     """Split a brace-annotated clue into its spans and plain surface.
 
     Returned span offsets index into the plain surface, so re-inserting
-    braces at those offsets reproduces ``annotated`` exactly (see
-    ``insert_definition``).
+    braces at those offsets reproduces ``annotated`` exactly.
     """
     spans: list[DefinitionSpan] = []
     plain: list[str] = []
@@ -68,14 +64,6 @@ def extract_definition(annotated: str) -> tuple[list[DefinitionSpan], str]:
     if open_at is not None:
         raise UnbalancedBraces(f"unclosed '{{' in {annotated!r}")
     return spans, "".join(plain)
-
-
-def insert_definition(spans: Iterable[DefinitionSpan], surface: str) -> str:
-    """Inverse of ``extract_definition``: wrap each span in braces."""
-    out = surface
-    for span in sorted(spans, key=lambda s: s.start, reverse=True):
-        out = out[: span.start] + "{" + out[span.start : span.end] + "}" + out[span.end :]
-    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +112,6 @@ def _clue_from_entry(entry: Any, index: int, slug: str, doc_title: str) -> Clue:
     wordplay = entry.get("wordplay")
     if wordplay is not None and not isinstance(wordplay, str):
         raise SchemaError(f"{where}: 'wordplay' must be a string")
-    extras = tuple((k, v) for k, v in entry.items() if k not in _CLUE_KEYS)
     try:
         return Clue(
             surface=surface,
@@ -134,7 +121,6 @@ def _clue_from_entry(entry: Any, index: int, slug: str, doc_title: str) -> Clue:
             gold_definition=annotated if spans else None,
             gold_wordplay=wordplay,
             clue_id=f"{slug}#{index}",
-            extras=extras,
         )
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
@@ -166,38 +152,3 @@ def load_puzzles(path: str | Path) -> list[PuzzleDocument]:
         raw_docs = [d for d in yaml.safe_load_all(fh) if d is not None]
     return [_document_from_mapping(raw, i) for i, raw in enumerate(raw_docs)]
 
-
-def _clue_to_mapping(clue: Clue) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "clue": clue.gold_definition if clue.gold_definition is not None else clue.surface,
-        "pattern": clue.pattern.render(),
-        "ad": clue.direction.letter,
-    }
-    if clue.gold_answer is not None:
-        out["answer"] = clue.gold_answer
-    if clue.gold_wordplay is not None:
-        out["wordplay"] = clue.gold_wordplay
-    for key, value in clue.extras:
-        out[key] = value
-    return out
-
-
-def save_puzzles(path: str | Path, documents: Iterable[PuzzleDocument]) -> None:
-    """Write puzzle documents as a YAML stream in canonical key order."""
-    payload = [
-        {
-            "title": doc.title,
-            "url": doc.url,
-            "author": doc.author,
-            "clues": [_clue_to_mapping(c) for c in doc.clues],
-        }
-        for doc in documents
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump_all(
-            payload,
-            fh,
-            allow_unicode=True,
-            sort_keys=False,
-            default_flow_style=False,
-        )

@@ -42,6 +42,7 @@ from cryptic_prover.formalize import (
     prove_with_rewrites,
     save_transcript,
 )
+from cryptic_prover.lexfiles import json_lines
 from cryptic_prover.oracles import Lexicon
 
 log = logging.getLogger(__name__)
@@ -297,11 +298,7 @@ class FileAnnotationSource:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FileAnnotationSource":
-        entries = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                entries.append(json.loads(line))
-        return cls(entries)
+        return cls(entry for _, entry in json_lines(Path(path).read_bytes(), path))
 
     def annotate(self, clue: Clue, candidate: str, sample_index: int) -> tuple[str, str]:
         key = (clue.clue_id, normalize_letters(candidate), sample_index)
@@ -329,17 +326,10 @@ def load_records(path: Union[str, Path]) -> list[SolveRecord]:
             path,
             len(partial),
         )
-    try:
-        lines = complete.decode("utf-8").split("\n")
-    except UnicodeDecodeError as error:
-        number = complete.count(b"\n", 0, error.start) + 1
-        raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
     records = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for number, value in json_lines(complete, path):
         try:
-            records.append(SolveRecord.from_dict(json.loads(line)))
+            records.append(SolveRecord.from_dict(value))
         except (ValueError, KeyError, TypeError) as error:
             raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
     return records

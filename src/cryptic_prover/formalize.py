@@ -22,18 +22,18 @@ previous script and the failure report, which itself ends with the
 rewrite instruction.
 
 Three generators ship with the package: ``CompilerBackedMock`` (reads
-the request back out of the prompt and compiles it; optionally spoils
-its first few answers, which exercises the loop), ``ScriptedReplayMock``
-(plays back canned responses, e.g. from a saved transcript), and
-``HttpChatGenerator`` (a chat-completion HTTP client, enabled only when
-its API key environment variable is set).
+the request back out of the prompt with the verifier's proof parser and
+compiles it; optionally spoils its first few answers, which exercises
+the loop), ``ScriptedReplayMock`` (plays back canned responses, e.g.
+from a saved transcript), and ``HttpChatGenerator`` (a chat-completion
+HTTP client, enabled only when its API key environment variable is
+set).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -46,7 +46,6 @@ from cryptic_prover import dataset, lexfiles, notation
 from cryptic_prover.core import (
     ActionKind,
     Clue,
-    Pattern,
     normalize_letters,
     pattern_matches,
 )
@@ -80,6 +79,7 @@ from cryptic_prover.verifier import (
     Statement,
     StringLit,
     VerificationOutcome,
+    parse_proof,
     render_failure_report,
     render_proof,
     verify_text,
@@ -469,29 +469,26 @@ def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> 
 
 
 def load_transcript_responses(path: Union[str, Path]) -> list[str]:
-    responses = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            responses.append(json.loads(line)["response"])
-    return responses
+    """The responses of a transcript written by ``save_transcript``, in order."""
+    attempts = lexfiles.json_lines(Path(path).read_bytes(), path)
+    return [attempt["response"] for _, attempt in attempts]
 
 
 # -- generators ------------------------------------------------------------------
-
-_HEADER_LINE = re.compile(r"^proof\s+.*$", re.MULTILINE)
-_FIELD = re.compile(r"(\w+)=(\"([^\"]*)\"|'([^']*)')")
 
 
 class CompilerBackedMock:
     """Answers prompts by recompiling the request they contain.
 
-    The request (or, on a rewrite, the previous script) is the last
-    ``proof`` header in the prompt, with its definition and wordplay
-    lines right below.  ``fail_first`` spoils that many responses with
-    a false equality, which makes the rewrite loop take measurable
-    laps before succeeding.  The wordplay is parsed with ``lexicon``
-    (``None`` means ``seed_lexicon()``), which should be the lexicon the
-    replies are verified against.
+    The request (or, on a rewrite, the previous script) is the last line
+    starting with ``proof`` in the prompt, with the ``definition:`` and
+    ``wordplay:`` lines below it; ``verifier.parse_proof`` reads the
+    three, so the verifier's grammar is the only reading of a header.
+    ``fail_first`` spoils that many responses with a false equality,
+    which makes the rewrite loop take measurable laps before
+    succeeding.  The wordplay is parsed with ``lexicon`` (``None`` means
+    ``seed_lexicon()``), which should be the lexicon the replies are
+    verified against.
     """
 
     def __init__(self, fail_first: int = 0, lexicon: Optional[Lexicon] = None):
@@ -506,28 +503,23 @@ class CompilerBackedMock:
         with self._calls_lock:
             self.calls += 1
             spoil = self.calls <= self.fail_first
-        headers = list(_HEADER_LINE.finditer(prompt))
-        tail = prompt[headers[-1].start() :] if headers else ""
-        fields = {
-            match.group(1): match.group(3) or match.group(4) or ""
-            for match in _FIELD.finditer(tail.split("\n", 1)[0])
-        }
-        definition = _last_prefixed(tail, "definition:")
-        wordplay = _last_prefixed(tail, "wordplay:")
+        # With no line starting "proof", rfind gives -1 and the prompt's
+        # first line fails parse_proof's header check.
+        header, *below = prompt[prompt.rfind("\nproof") + 1 :].split("\n")
+        fields = [
+            line for line in below if line.lstrip().startswith(("definition:", "wordplay:"))
+        ]
         try:
-            clue = Clue(
-                surface=fields["clue"],
-                pattern=Pattern.parse(fields["pattern"]),
-            )
+            asked = parse_proof("\n".join([header, *fields]))
             request = ProofRequest(
-                clue=clue,
-                candidate_answer=fields["answer"],
-                definition=definition or fields["clue"],
-                wordplay=wordplay,
+                clue=Clue(surface=asked.clue, pattern=asked.pattern),
+                candidate_answer=asked.answer,
+                definition=asked.definition or asked.clue,
+                wordplay=asked.wordplay,
             )
-            node = notation.parse_wordplay(wordplay, self.lexicon)
+            node = notation.parse_wordplay(asked.wordplay, self.lexicon)
             script = compile_wordplay(node, request)
-        except (KeyError, ValueError) as error:
+        except ValueError as error:
             # Nothing compilable: answer with an honest stub that the
             # verifier will reject, mirroring a lost generator.
             return (
@@ -540,15 +532,6 @@ class CompilerBackedMock:
             )
             script = replace(script, statements=spoiled)
         return render_proof(script)
-
-
-def _last_prefixed(text: str, prefix: str) -> str:
-    value = ""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith(prefix):
-            value = stripped[len(prefix) :].strip()
-    return value
 
 
 class ScriptedReplayMock:

@@ -1,4 +1,4 @@
-"""Loaders for the line-oriented lexicon files.
+"""Loaders for the line-oriented lexicon files, and the JSON-lines reader.
 
 All files are UTF-8 text with ``#`` comment lines and blank lines ignored.
 Two-column files are TAB-separated:
@@ -11,13 +11,19 @@ Two-column files are TAB-separated:
 
 Matching is case-folded throughout, but the original display form of
 abbreviation expansions is kept for hint rendering, in file order.
+
+``json_lines`` reads every JSON-lines file the package writes (results,
+transcripts) or takes in (pre-generated annotations).  Lines end at
+``\n`` only: the writers keep non-ASCII text raw, so a string may hold
+U+2028 or ``\x1c``, where ``str.splitlines`` would also break.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from cryptic_prover.core import ActionKind, normalize_letters
 
@@ -43,6 +49,23 @@ def seed_lexicon_files() -> dict[str, Path | tuple[Path, ...]]:
         "homophones": seed_path("lexicon/homophones.tsv"),
         "wordlist": seed_path("lexicon/wordlist.txt"),
     }
+
+
+def json_lines(data: bytes, path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded value) for each non-blank line of a JSON-lines file.
+
+    A line that is not UTF-8 JSON raises ValueError naming ``path`` and
+    the line number.
+    """
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            value = json.loads(line)
+        except ValueError as error:
+            raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
+        yield number, value
 
 
 def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -22,9 +22,9 @@ standardised dialect.  The conventions this module understands:
 
 ``parse_wordplay`` builds a ``WordplayNode`` tree from an annotation,
 ``render_wordplay`` produces the canonical spelling of a tree, and
-``resolve``/``yields_answer`` check a tree against an answer, permuting
-anagrams, spelling out homophones and searching container split points
-as needed.
+``resolve`` checks a tree against an answer (``None`` when its letters
+cannot account for it), permuting anagrams, spelling out homophones and
+searching container split points as needed.
 
 Which bare phrases are signifiers (``(hides)``, ``around``) and which
 short glosses are abbreviations comes from an ``oracles.Lexicon``:
@@ -1210,8 +1210,3 @@ def resolve(node: WordplayNode, answer: str) -> Optional[Resolved]:
     """Match a tree against an answer, choosing anagram spellings, homophone
     spellings and container split points; None when the letters cannot work."""
     return _resolve(node, normalize_letters(answer))
-
-
-def yields_answer(node: WordplayNode, answer: str) -> bool:
-    """Whether the annotation's letters account for the answer."""
-    return resolve(node, answer) is not None

@@ -160,18 +160,11 @@ _FATAL_KINDS = frozenset({LintKind.NO_ASSERTIONS, LintKind.NEGATED_ASSERT_CHEAT}
 @dataclass(frozen=True)
 class LintFlag:
     kind: LintKind
-    severity: Severity
     detail: str
 
-    def __post_init__(self):
-        expected = Severity.FATAL if self.kind in _FATAL_KINDS else Severity.WARN
-        if self.severity is not expected:
-            raise ValueError(f"{self.kind.name} must be {expected.name}")
-
-
-def _lint(kind: LintKind, detail: str) -> LintFlag:
-    severity = Severity.FATAL if kind in _FATAL_KINDS else Severity.WARN
-    return LintFlag(kind, severity, detail)
+    @property
+    def severity(self) -> Severity:
+        return Severity.FATAL if self.kind in _FATAL_KINDS else Severity.WARN
 
 
 @dataclass(frozen=True)
@@ -662,17 +655,17 @@ def verify(proof: ProofScript, lexicon: Lexicon) -> VerificationOutcome:
         cheat = _negated_predicate(statement)
         if cheat is not None:
             lints.append(
-                _lint(LintKind.NEGATED_ASSERT_CHEAT, f"assert {render_statement(cheat)}")
+                LintFlag(LintKind.NEGATED_ASSERT_CHEAT, f"assert {render_statement(cheat)}")
             )
 
     if not proof.statements:
-        lints.append(_lint(LintKind.NO_ASSERTIONS, "proof contains no assert statements"))
+        lints.append(LintFlag(LintKind.NO_ASSERTIONS, "proof contains no assert statements"))
     else:
         if answer_letters and not any(
             _mentions(statement, answer_letters) for statement in proof.statements
         ):
             lints.append(
-                _lint(
+                LintFlag(
                     LintKind.DISCONNECTED_CHAIN,
                     f"no assertion mentions the answer '{proof.answer}'",
                 )
@@ -680,7 +673,7 @@ def verify(proof: ProofScript, lexicon: Lexicon) -> VerificationOutcome:
         unused = _unused_clue_words(proof)
         if unused:
             lints.append(
-                _lint(
+                LintFlag(
                     LintKind.UNUSED_CLUE_TOKENS,
                     f"clue words never referenced : {', '.join(unused)}",
                 )

@@ -42,8 +42,8 @@ from cryptic_prover.notation import (
     DoubleDefinition,
     Homophone,
     parse_wordplay,
+    resolve,
     surface_letters,
-    yields_answer,
 )
 from cryptic_prover.oracles import seed_lexicon
 from cryptic_prover.verifier import (
@@ -111,7 +111,7 @@ def test_criterion_01_worked_examples_round_trip(worked):
     for clue in worked:
         node = parse_wordplay(clue.gold_wordplay)
         answer = normalize_letters(clue.gold_answer)
-        assert yields_answer(node, answer), clue.gold_answer
+        assert resolve(node, answer) is not None, clue.gold_answer
         if _letters_are_determinate(node):
             assert surface_letters(node) == answer
             determinate += 1

@@ -51,15 +51,14 @@ class TestLoadEmbeddings:
             "3 4\nape 1 0 0 0\nbee 0 1 0 0\ncat 0 0 1 0\n",
         )
         table = load_embeddings(path)
-        assert len(table) == 3
+        assert len(table.vectors) == 3
         assert table.dimension == 4
-        assert table.source == str(path)
 
     def test_lookup_is_case_folded(self, tmp_path):
         path = write_table(tmp_path, "1 2\nCamera 1 0\n")
         table = load_embeddings(path)
-        assert "CAMERA" in table
-        assert np.array_equal(table.vector("camera"), table.vector("CAMERA"))
+        assert list(table.vectors) == ["camera"]
+        assert np.array_equal(table.embed_phrase("CAMERA"), np.array([1.0, 0.0]))
 
     def test_short_line_is_a_dimension_mismatch_with_line_number(self, tmp_path):
         path = write_table(tmp_path, "2 4\nape 1 0 0 0\nbee 0 1 0\n")
@@ -87,15 +86,15 @@ class TestLoadEmbeddings:
         path = write_table(tmp_path, "2 2\nape 1 0\nape 0 1\n")
         with caplog.at_level(logging.WARNING):
             table = load_embeddings(path)
-        assert np.array_equal(table.vector("ape"), np.array([1.0, 0.0]))
+        assert np.array_equal(table.vectors["ape"], np.array([1.0, 0.0]))
         assert "duplicate" in caplog.text
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_table(tmp_path, "2 2\nape 1 0\n\nbee 0 1\n")
-        assert len(load_embeddings(path)) == 2
+        assert len(load_embeddings(path).vectors) == 2
 
     def test_packaged_fixture_loads(self, table):
-        assert len(table) == 50
+        assert len(table.vectors) == 50
         assert table.dimension == 16
 
     def test_table_rejects_mixed_dimensions(self):
@@ -106,7 +105,7 @@ class TestLoadEmbeddings:
             )
 
     def test_out_of_vocabulary_vector_is_none(self, table):
-        assert table.vector("zyzzyva") is None
+        assert table.vectors.get("zyzzyva") is None
 
 
 class TestEmbedPhrase:

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+import yaml
 
-from cryptic_prover import dataset, lexfiles
+from cryptic_prover import lexfiles
 from cryptic_prover.cli import main
 from cryptic_prover.core import Clue, Pattern
 
@@ -24,15 +25,12 @@ def sandbox(tmp_path, monkeypatch):
 
 
 def clue_file(tmp_path, count=1):
-    documents = dataset.load_puzzles(WORKED)
-    picked = dataset.PuzzleDocument(
-        title=documents[0].title,
-        url=documents[0].url,
-        author=documents[0].author,
-        clues=documents[0].clues[:count],
-    )
+    """The first ``count`` clues of the first worked-examples puzzle."""
+    with open(WORKED, encoding="utf-8") as fh:
+        document = next(yaml.safe_load_all(fh))
+    document["clues"] = document["clues"][:count]
     path = tmp_path / "clues.yaml"
-    dataset.save_puzzles(path, [picked])
+    path.write_text(yaml.safe_dump(document, allow_unicode=True), encoding="utf-8")
     return path
 
 

@@ -8,9 +8,7 @@ from cryptic_prover.dataset import (
     SchemaError,
     UnbalancedBraces,
     extract_definition,
-    insert_definition,
     load_puzzles,
-    save_puzzles,
 )
 
 SAMPLE = """\
@@ -49,9 +47,11 @@ class TestExtractDefinition:
         assert [s.text for s in spans] == ["Not seeing", "window covering"]
 
     def test_reinsertion_is_inverse(self):
-        annotated = "Found ermine, deer hides {damaged}"
+        annotated = "{Found} ermine, deer hides {damaged}"
         spans, plain = extract_definition(annotated)
-        assert insert_definition(spans, plain) == annotated
+        for span in reversed(spans):
+            plain = plain[: span.start] + "{" + span.text + "}" + plain[span.end :]
+        assert plain == annotated
 
     @pytest.mark.parametrize(
         "bad", ["{open", "close}", "{a{b}}", "two} {prefix"]
@@ -120,44 +120,16 @@ class TestLoadPuzzles:
         with pytest.raises(SchemaError, match="clue 0"):
             load_puzzles(path)
 
-    def test_extra_clue_keys_preserved(self, tmp_path):
-        path = tmp_path / "extra.yaml"
-        path.write_text(
-            "title: t\nurl: u\nauthor: a\nclues:\n"
-            "- clue: '{x} y'\n  pattern: '1'\n  setter_note: tricky\n",
-            encoding="utf-8",
-        )
-        docs = load_puzzles(path)
-        assert docs[0].clues[0].extras == (("setter_note", "tricky"),)
-        out = tmp_path / "out.yaml"
-        save_puzzles(out, docs)
-        assert load_puzzles(out)[0].clues[0].extras == (("setter_note", "tricky"),)
+    def test_unknown_clue_keys_are_ignored(self, tmp_path):
+        entry = "title: t\nurl: u\nauthor: a\nclues:\n- clue: '{x} y'\n  pattern: '1'\n"
+        plain, noted = tmp_path / "plain.yaml", tmp_path / "noted.yaml"
+        plain.write_text(entry, encoding="utf-8")
+        noted.write_text(entry + "  setter_note: tricky\n", encoding="utf-8")
+        assert load_puzzles(noted) == load_puzzles(plain)
 
-
-class TestRoundTrip:
-    def test_load_save_load_fixed_point(self, sample_path, tmp_path):
-        docs = load_puzzles(sample_path)
-        out1 = tmp_path / "out1.yaml"
-        save_puzzles(out1, docs)
-        docs2 = load_puzzles(out1)
-        assert docs2 == docs
-        out2 = tmp_path / "out2.yaml"
-        save_puzzles(out2, docs2)
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_canonical_key_order(self, sample_path, tmp_path):
-        docs = load_puzzles(sample_path)
-        out = tmp_path / "out.yaml"
-        save_puzzles(out, docs)
-        text = out.read_text(encoding="utf-8")
-        assert text.index("clue:") < text.index("pattern:") < text.index("ad:")
-        assert "’" in text  # not escaped
-
-    def test_multi_document_stream(self, tmp_path):
+    def test_multi_document_stream(self, sample_path, tmp_path):
         path = tmp_path / "two.yaml"
         path.write_text(SAMPLE + "---\n" + SAMPLE, encoding="utf-8")
         docs = load_puzzles(path)
         assert len(docs) == 2
-        out = tmp_path / "out.yaml"
-        save_puzzles(out, docs)
-        assert load_puzzles(out) == docs
+        assert docs[0] == docs[1] == load_puzzles(sample_path)[0]

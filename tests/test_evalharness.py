@@ -334,6 +334,28 @@ class TestAnnotationSources:
         with pytest.raises(LookupError, match="no annotation"):
             source.annotate(clue, "ESCORT", 2)
 
+    def test_file_source_keeps_a_line_separator_in_a_value(self, tmp_path, eight_clues):
+        clue = eight_clues[0]
+        path = tmp_path / "annotations.jsonl"
+        wordplay = "(corset)* (*shredded\u2028torn)"
+        entry = {
+            "clue_id": clue.clue_id,
+            "candidate": "ESCORT",
+            "sample_index": 0,
+            "definition": clue.gold_definition,
+            "wordplay": wordplay,
+        }
+        path.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
+        source = FileAnnotationSource.load(path)
+        assert source.annotate(clue, "ESCORT", 0) == (clue.gold_definition, wordplay)
+
+    @pytest.mark.parametrize("bad", [b"not json", b"\xff\xfe"])
+    def test_a_malformed_annotation_line_names_its_number(self, tmp_path, bad):
+        path = tmp_path / "annotations.jsonl"
+        path.write_bytes(b"\n" + bad + b"\n")
+        with pytest.raises(ValueError, match="annotations.jsonl: line 2: malformed record"):
+            FileAnnotationSource.load(path)
+
 
 class TestRunExperiment:
     def run(self, clues, lexicon, table, wordlist, **kwargs):

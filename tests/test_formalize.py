@@ -363,6 +363,22 @@ class TestRewriteLoop:
         assert len(replies) == generator.calls == 200
         assert sum("'QQ' == 'ZZ'" in reply for reply in replies) == 40
 
+    @pytest.mark.parametrize("clue", worked_clues(), ids=lambda c: c.gold_answer)
+    def test_mock_reads_the_request_from_draft_and_rewrite_prompts(self, clue, lexicon):
+        expected = render_proof(compile_clue(clue))
+        spoiled = expected + "assert 'QQ' == 'ZZ'\n"
+        report = render_failure_report(verify_text(spoiled, lexicon))
+        draft = build_prompt(request_for(clue))
+        rewrite = build_prompt(request_for(clue), failure_report=report, previous_script=spoiled)
+        assert CompilerBackedMock().generate(draft) == expected
+        assert CompilerBackedMock().generate(rewrite) == expected
+
+    def test_mock_reads_a_clue_holding_an_apostrophe(self):
+        clue = next(clue for clue in worked_clues() if "'" in clue.surface)
+        reply = CompilerBackedMock().generate(build_prompt(request_for(clue)))
+        assert parse_proof(reply).clue == clue.surface
+        assert reply == render_proof(compile_clue(clue))
+
 
 class TestTranscript:
     def test_solved_transcript_counts_attempts(self):
@@ -416,6 +432,25 @@ class TestTranscript:
             }
             expected.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_a_reply_holding_a_line_separator_replays(self, tmp_path, lexicon):
+        # save_transcript writes U+2028 raw; str.splitlines would split there.
+        good = render_proof(compile_clue(CAMERA)) + "# one\u2028two\x1cthree\n"
+        bad = good + "assert 'QQ' == 'ZZ'\n"
+        transcript = prove_with_rewrites(
+            request_for(CAMERA), ScriptedReplayMock([bad, good]), lexicon
+        )
+        path = tmp_path / "camera.jsonl"
+        save_transcript(transcript, path)
+        assert formalize.load_transcript_responses(path) == [bad, good]
+        replay = ScriptedReplayMock.from_transcript(path)
+        assert prove_with_rewrites(request_for(CAMERA), replay, lexicon).rewrites_used == 1
+
+    def test_a_malformed_transcript_line_names_its_number(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(b'{"response": "a"}\n\n{"response": \n')
+        with pytest.raises(ValueError, match="broken.jsonl: line 3: malformed record"):
+            ScriptedReplayMock.from_transcript(path)
 
     def test_saved_transcripts_are_byte_identical_across_runs(self, tmp_path, lexicon):
         paths = []

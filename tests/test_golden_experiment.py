@@ -1,0 +1,58 @@
+"""The packaged fixture experiment reproduces its committed outputs byte for byte.
+
+``golden/experiment/results.jsonl`` is the ``results.jsonl`` of
+``cryptic-prover experiment --clues worked_examples.yaml --transcripts tr``
+with the mock generator and the default 5 samples.  The 100 transcripts
+(2.6 MB) are pinned by ``golden/experiment/transcripts.sha256``, one
+``sha256  file name`` line each, in the format ``sha256sum`` writes.
+
+CI runs this file under two ``PYTHONHASHSEED`` values, so output that
+depends on set or dict-of-set iteration order fails here.
+"""
+
+import hashlib
+import os
+from pathlib import Path
+
+from cryptic_prover import lexfiles
+from cryptic_prover.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "experiment"
+
+
+def first_difference(out: Path) -> str | None:
+    """The first output file that differs from the golden copy, or None."""
+    if (out / "results.jsonl").read_bytes() != (GOLDEN / "results.jsonl").read_bytes():
+        return "results.jsonl"
+    expected = {}
+    for line in (GOLDEN / "transcripts.sha256").read_text(encoding="utf-8").splitlines():
+        digest, name = line.split("  ", 1)
+        expected[name] = digest
+    produced = {path.name: path for path in (out / "tr").iterdir()}
+    for name in sorted(expected.keys() | produced.keys()):
+        if name not in produced:
+            return f"tr/{name} (missing)"
+        if name not in expected:
+            return f"tr/{name} (unexpected)"
+        if hashlib.sha256(produced[name].read_bytes()).hexdigest() != expected[name]:
+            return f"tr/{name}"
+    return None
+
+
+def test_fixture_experiment_matches_the_golden_outputs(tmp_path, monkeypatch):
+    for name in [name for name in os.environ if name.startswith("CRYPTIC_PROVER_")]:
+        monkeypatch.delenv(name)
+    code = main([
+        "--output-dir", str(tmp_path),
+        "experiment",
+        "--clues", str(lexfiles.seed_path("fixtures/worked_examples.yaml")),
+        "--transcripts", "tr",
+    ])
+    assert code == 0
+    assert first_difference(tmp_path) is None
+
+
+def test_first_difference_names_a_missing_transcript(tmp_path):
+    (tmp_path / "tr").mkdir()
+    (tmp_path / "results.jsonl").write_bytes((GOLDEN / "results.jsonl").read_bytes())
+    assert first_difference(tmp_path) == "tr/charade-walkthroughs-0__BLIND__s0.jsonl (missing)"

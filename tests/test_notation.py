@@ -166,22 +166,22 @@ def test_surface_letters_double_definition_is_empty():
 
 @pytest.mark.parametrize("annotation,answer", WORKED)
 def test_worked_examples_account_for_answers(annotation, answer):
-    assert n.yields_answer(n.parse_wordplay(annotation), answer)
+    assert n.resolve(n.parse_wordplay(annotation), answer) is not None
 
 
 def test_anagram_resolves_by_letter_multiset():
     node = n.parse_wordplay("(corset)* (*shredded)")
-    assert n.yields_answer(node, "ESCORT")
-    assert n.yields_answer(node, "CORSET")
-    assert not n.yields_answer(node, "ESCORTS")
-    assert not n.yields_answer(node, "SECTOR".replace("S", "Z"))
+    assert n.resolve(node, "ESCORT") is not None
+    assert n.resolve(node, "CORSET") is not None
+    assert n.resolve(node, "ESCORTS") is None
+    assert n.resolve(node, "SECTOR".replace("S", "Z")) is None
 
 
 def test_homophone_resolves_by_sound():
     node = n.Homophone("night", "we hear")
-    assert n.yields_answer(node, "KNIGHT")
-    assert n.yields_answer(node, "NIGHT")
-    assert not n.yields_answer(node, "DAY")
+    assert n.resolve(node, "KNIGHT") is not None
+    assert n.resolve(node, "NIGHT") is not None
+    assert n.resolve(node, "DAY") is None
 
 
 def test_container_split_search():
@@ -193,7 +193,7 @@ def test_container_split_search():
 
 
 def test_double_definition_accounts_for_any_answer():
-    assert n.yields_answer(n.DoubleDefinition(), "BLIND")
+    assert n.resolve(n.DoubleDefinition(), "BLIND") is not None
 
 
 def test_resolution_records_sequence_chunks():
@@ -204,7 +204,7 @@ def test_resolution_records_sequence_chunks():
 
 def test_sequence_with_homophone_partitions_flexibly():
     node = n.Sequence((n.Homophone("night", "heard"), n.Literal("S")))
-    assert n.yields_answer(node, "KNIGHTS")
+    assert n.resolve(node, "KNIGHTS") is not None
 
 
 # -- rendering ---------------------------------------------------------------
