@@ -25,6 +25,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from cryptic_prover import lexfiles
 from cryptic_prover.core import Pattern, normalize_letters
 
 log = logging.getLogger(__name__)
@@ -79,7 +80,7 @@ class EmbeddingTable:
 
 def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
     """Read a text vector file; duplicate words keep the first occurrence."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = lexfiles.read_lines(path)
     if not lines or not lines[0].strip():
         raise FormatError("missing '<count> <dimension>' header", line=1)
     header = lines[0].split()

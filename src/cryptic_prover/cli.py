@@ -40,6 +40,7 @@ from cryptic_prover.evalharness import (
     tabulate,
 )
 from cryptic_prover.formalize import (
+    MAX_GENERATOR_CALLS,
     CompilerBackedMock,
     HttpChatGenerator,
     ProofRequest,
@@ -75,7 +76,7 @@ class CliConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     temperature: Optional[float] = None
     samples: int = 5
-    rewrite_cap: int = 5
+    rewrite_cap: int = MAX_GENERATOR_CALLS - 1
 
     def lexicon(self) -> Lexicon:
         return Lexicon.from_files(
@@ -198,15 +199,17 @@ def resolve_config(args: argparse.Namespace, env=os.environ) -> CliConfig:
 
     try:
         samples = int(values.get("samples", 5))
-        rewrite_cap = int(values.get("rewrite_cap", 5))
+        rewrite_cap = int(values.get("rewrite_cap", MAX_GENERATOR_CALLS - 1))
         temperature = values.get("temperature")
         temperature = None if temperature is None else float(temperature)
     except (TypeError, ValueError) as error:
         raise ConfigError(f"bad numeric config value: {error}") from None
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
-    if not 0 <= rewrite_cap <= 5:
-        raise ConfigError(f"rewrite cap must be 0..5, got {rewrite_cap}")
+    if not 0 <= rewrite_cap < MAX_GENERATOR_CALLS:
+        raise ConfigError(
+            f"rewrite cap must be 0..{MAX_GENERATOR_CALLS - 1}, got {rewrite_cap}"
+        )
 
     config = CliConfig(
         thesaurus=Path(values["thesaurus"]),
@@ -301,8 +304,7 @@ def _tree_lines(node, depth=0) -> list[str]:
 def cmd_parse(config: CliConfig, args) -> int:
     annotations = []
     if args.file:
-        text = Path(args.file).read_text(encoding="utf-8")
-        annotations = [line for line in text.splitlines() if line.strip()]
+        annotations = [line for line in lexfiles.read_lines(args.file) if line.strip()]
     if args.annotation:
         annotations.append(args.annotation)
     if not annotations:
@@ -570,6 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as error:
         print(f"file error: {error}", file=sys.stderr)
+        return 2
+    except lexfiles.RecordError as error:
+        print(f"input error: {error}", file=sys.stderr)
         return 2
 
 

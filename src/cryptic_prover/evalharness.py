@@ -24,6 +24,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum, auto
 from pathlib import Path
@@ -131,20 +132,20 @@ def score_completed(records) -> int:
 
 
 def score_fastest(records) -> int:
-    """Fewest rewrites of any solved run; 6 when nothing solved."""
+    """Fewest rewrites of any solved run; MAX_GENERATOR_CALLS (6) when nothing solved."""
     values = [_rewrites_of(r) for r in records]
     if not values:
         raise ValueError("no records to score")
     solved = [v for v in values if v != FAIL]
-    return min(solved) if solved else 6
+    return min(solved) if solved else MAX_GENERATOR_CALLS
 
 
 def score_mean(records) -> float:
-    """Mean rewrites with FAIL counted as 6 (rather than infinity)."""
+    """Mean rewrites with FAIL counted as MAX_GENERATOR_CALLS (6), not infinity."""
     values = [_rewrites_of(r) for r in records]
     if not values:
         raise ValueError("no records to score")
-    return fmean(6 if v == FAIL else v for v in values)
+    return fmean(MAX_GENERATOR_CALLS if v == FAIL else v for v in values)
 
 
 _SCORER = {
@@ -283,22 +284,25 @@ class GoldAnnotationSource:
         return definition, decoy_wordplay(clue, candidate)
 
 
-class FileAnnotationSource:
-    """Pre-generated annotations keyed by (clue_id, candidate, sample)."""
+AnnotationKey = tuple[str, str, int]  # (clue_id, candidate, sample_index)
 
-    def __init__(self, entries: Iterable[dict]):
-        self._entries: dict[tuple[str, str, int], tuple[str, str]] = {}
-        for entry in entries:
-            key = (
-                entry["clue_id"],
-                normalize_letters(entry["candidate"]),
-                entry["sample_index"],
-            )
-            self._entries[key] = (entry["definition"], entry["wordplay"])
+
+def _keyed_annotation(entry: dict) -> tuple[AnnotationKey, tuple[str, str]]:
+    key = (entry["clue_id"], normalize_letters(entry["candidate"]), entry["sample_index"])
+    return key, (entry["definition"], entry["wordplay"])
+
+
+class FileAnnotationSource:
+    """Pre-generated (definition, wordplay) pairs keyed by (clue_id, candidate, sample)."""
+
+    def __init__(self, entries: Iterable[tuple[AnnotationKey, tuple[str, str]]]):
+        self._entries = dict(entries)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FileAnnotationSource":
-        return cls(entry for _, entry in json_lines(Path(path).read_bytes(), path))
+        """One JSON object per line with ``clue_id``, ``candidate``,
+        ``sample_index``, ``definition`` and ``wordplay``."""
+        return cls(json_lines(Path(path).read_bytes(), path, _keyed_annotation))
 
     def annotate(self, clue: Clue, candidate: str, sample_index: int) -> tuple[str, str]:
         key = (clue.clue_id, normalize_letters(candidate), sample_index)
@@ -315,7 +319,7 @@ def load_records(path: Union[str, Path]) -> list[SolveRecord]:
     """The records of a results file, one JSON object per line.
 
     A last line with no newline is a write that was cut short: it is
-    dropped with a warning.  Any other malformed line raises ValueError
+    dropped with a warning.  Any other malformed line raises RecordError
     naming its line number.  The file itself is left as it is.
     """
     # Split off the tail before decoding: a cut can fall inside a character.
@@ -326,13 +330,7 @@ def load_records(path: Union[str, Path]) -> list[SolveRecord]:
             path,
             len(partial),
         )
-    records = []
-    for number, value in json_lines(complete, path):
-        try:
-            records.append(SolveRecord.from_dict(value))
-        except (ValueError, KeyError, TypeError) as error:
-            raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
-    return records
+    return list(json_lines(complete, path, SolveRecord.from_dict))
 
 
 def _cut_partial_line(path: Path) -> None:
@@ -427,16 +425,8 @@ def run_experiment(
         )
 
     records = list(existing)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            batches = pool.map(solve_clue, clues)
-            for batch in batches:
-                records.extend(batch)
-                if results_path is not None:
-                    _append_records(results_path, batch)
-    else:
-        for clue in clues:
-            batch = solve_clue(clue)
+    with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
+        for batch in (pool.map if pool else map)(solve_clue, clues):
             records.extend(batch)
             if results_path is not None:
                 _append_records(results_path, batch)

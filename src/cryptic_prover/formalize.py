@@ -6,7 +6,10 @@ Two routes produce a proof for a (clue, candidate answer) pair:
   corresponding assertions directly; it is deterministic and needs no
   model.  When the annotation's letters cannot account for the answer,
   it still emits the honest script, whose final equality then fails
-  under verification.
+  under verification.  The node rules come from ``notation`` (the
+  action from ``indicator_action``, a hidden answer's pieces from
+  ``hidden_pieces``) and each operand's letters from the resolved tree;
+  this module only maps them onto the proof grammar's functions.
 * ``prove_with_rewrites`` asks a proof generator (anything with a
   ``generate(prompt) -> str`` method) to write the script, verifies the
   result, and on failure feeds the failure report back for another try.
@@ -37,6 +40,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -54,7 +58,6 @@ from cryptic_prover.notation import (
     Anagram,
     Container,
     Deletion,
-    DeletionKind,
     DoubleDefinition,
     Hidden,
     Homophone,
@@ -96,6 +99,7 @@ class GeneratorUnavailable(RuntimeError):
 
 MAX_GENERATOR_CALLS = 6  # one draft plus five rewrites
 FAIL = "FAIL"
+_COUNT_WORDS = "zero one two three four five six seven eight nine ten".split()
 
 # Rewrites a proof needed, 0..MAX_GENERATOR_CALLS - 1, or FAIL.
 Rewrites = Union[int, str]
@@ -136,6 +140,7 @@ class Attempt:
     prompt: str
     response: str
     outcome: VerificationOutcome
+    failure_report: str  # rendered once per distinct reply; empty when proved
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,9 @@ class GeneratorTranscript:
             if len(self.attempts) != self.rewrites_used + 1:
                 raise ValueError("a solved transcript holds one attempt per call")
         elif not self.failure_reason and len(self.attempts) != MAX_GENERATOR_CALLS:
-            raise ValueError("an exhausted transcript holds all six attempts")
+            raise ValueError(
+                f"an exhausted transcript holds all {_COUNT_WORDS[MAX_GENERATOR_CALLS]} attempts"
+            )
 
     @property
     def solved(self) -> bool:
@@ -198,7 +205,7 @@ def compile_wordplay(node: WordplayNode, request: ProofRequest) -> ProofScript:
             raise UnsupportedNode("wordplay letters cannot be resolved at all")
         leaves: list[Statement] = []
         actions: list[Statement] = []
-        _emit(node, resolved, leaves, actions)
+        _emit(resolved, leaves, actions)
         statements.extend(leaves)
         statements.extend(actions)
         if isinstance(node, notation.Sequence):
@@ -223,12 +230,18 @@ def compile_wordplay(node: WordplayNode, request: ProofRequest) -> ProofScript:
     )
 
 
-def _emit(
-    node: WordplayNode,
-    resolved: Resolved,
-    leaves: list[Statement],
-    actions: list[Statement],
-) -> None:
+# The proof-grammar letter function each deletion action applies per letter.
+_DROP = {ActionKind.REMOVE_FIRST: "drop_first", ActionKind.REMOVE_LAST: "drop_last"}
+
+
+def _emit(resolved: Resolved, leaves: list[Statement], actions: list[Statement]) -> None:
+    """Append a node's statements after those of the operands it resolved.
+
+    The action comes from ``notation.indicator_action``, each operand's
+    letters from ``resolved.parts``; each branch below only says what the
+    action does to those letters in the proof grammar.
+    """
+    node = resolved.node
     if isinstance(node, Literal):
         return
     if isinstance(node, SynonymOf):
@@ -237,126 +250,47 @@ def _emit(
     if isinstance(node, AbbrevOf):
         leaves.append(AssertPredicate("is_abbreviation", (node.phrase, node.letters)))
         return
-    if isinstance(node, Anagram):
-        _emit(node.source, resolved.parts[0], leaves, actions)
-        _action(actions, node.indicator, ActionKind.ANAGRAM)
-        actions.append(
-            AssertPredicate(
-                "is_anagram", (surface_letters(node.source), resolved.letters)
-            )
-        )
-        return
-    if isinstance(node, Reversal):
-        _emit(node.source, resolved.parts[0], leaves, actions)
-        _action(actions, node.indicator, ActionKind.REVERSE)
-        actions.append(
-            AssertEquality(
-                Call("reverse", (StringLit(surface_letters(node.source)),)),
-                StringLit(resolved.letters),
-            )
-        )
-        return
-    if isinstance(node, Deletion):
-        _emit(node.source, resolved.parts[0], leaves, actions)
-        if node.kind is DeletionKind.FIRST:
-            action, builtin = ActionKind.REMOVE_FIRST, "drop_first"
-        elif node.kind is DeletionKind.LAST:
-            action, builtin = ActionKind.REMOVE_LAST, "drop_last"
-        else:
-            raise UnsupportedNode("inner deletions have no proof-grammar mapping")
-        _action(actions, node.indicator, action)
-        expr: Expr = StringLit(surface_letters(node.source))
-        for _ in node.removed:
-            expr = Call(builtin, (expr,))
-        actions.append(AssertEquality(expr, StringLit(resolved.letters)))
-        return
-    if isinstance(node, Initials):
-        _action(actions, node.indicator, ActionKind.INITIALS)
-        actions.append(
-            AssertEquality(
-                Call("initials", (StringLit(" ".join(node.phrases)),)),
-                StringLit(resolved.letters),
-            )
-        )
-        return
-    if isinstance(node, Hidden):
-        _action(actions, node.indicator, ActionKind.SUBSTRING)
-        actions.append(
-            AssertEquality(
-                Call(
-                    "hidden_span",
-                    (StringLit(node.host_text), StringLit(node.letters)),
-                ),
-                StringLit(resolved.letters),
-            )
-        )
-        segments = _hidden_segments(node)
-        if len(segments) >= 2:
-            actions.append(
-                AssertEquality(
-                    Concat(tuple(StringLit(piece) for piece in segments)),
-                    StringLit(resolved.letters),
-                )
-            )
-        return
-    if isinstance(node, Container):
-        outer, inner = resolved.parts
-        _emit(node.outer, outer, leaves, actions)
-        _emit(node.inner, inner, leaves, actions)
-        kind = ActionKind.GOES_INSIDE if node.inserted else ActionKind.GOES_OUTSIDE
-        _action(actions, node.indicator, kind)
-        split = resolved.split if resolved.split is not None else node.outer_split
-        actions.append(
-            AssertEquality(
-                Concat(
-                    (
-                        StringLit(outer.letters[:split]),
-                        StringLit(inner.letters),
-                        StringLit(outer.letters[split:]),
-                    )
-                ),
-                StringLit(resolved.letters),
-            )
-        )
-        return
-    if isinstance(node, Homophone):
-        if node.origin:
-            leaves.append(
-                AssertPredicate(
-                    "is_synonym", (node.origin, normalize_letters(node.sounds_like))
-                )
-            )
-        _action(actions, node.indicator, ActionKind.HOMOPHONE)
-        actions.append(
-            AssertPredicate("is_homophone", (node.sounds_like, resolved.letters))
-        )
-        return
+    for part in resolved.parts:
+        _emit(part, leaves, actions)
     if isinstance(node, notation.Sequence):
-        for part, sub in zip(node.parts, resolved.parts):
-            _emit(part, sub, leaves, actions)
         return
-    raise UnsupportedNode(f"no proof mapping for {type(node).__name__}")
-
-
-def _action(actions: list[Statement], indicator: str, kind: ActionKind) -> None:
-    if indicator:
-        actions.append(AssertPredicate("action_type", (indicator, kind)))
-
-
-def _hidden_segments(node: Hidden) -> list[str]:
-    """The hidden letters as they fall across the host's words."""
-    norms = [normalize_letters(word) for word in node.host_text.split()]
-    joined = "".join(norms)
-    start = joined.find(node.letters)
-    end = start + len(node.letters)
-    segments: list[str] = []
-    offset = 0
-    for word in norms:
-        lo, hi = max(start, offset), min(end, offset + len(word))
-        if lo < hi:
-            segments.append(joined[lo:hi])
-        offset += len(word)
-    return segments
+    action = notation.indicator_action(node)
+    if action is not None and node.indicator:
+        actions.append(AssertPredicate("action_type", (node.indicator, action)))
+    letters = StringLit(resolved.letters)
+    if isinstance(node, Anagram):
+        operand = resolved.parts[0].letters
+        actions.append(AssertPredicate("is_anagram", (operand, resolved.letters)))
+    elif isinstance(node, Reversal):
+        operand = StringLit(resolved.parts[0].letters)
+        actions.append(AssertEquality(Call("reverse", (operand,)), letters))
+    elif isinstance(node, Deletion):
+        if action not in _DROP:
+            raise UnsupportedNode("inner deletions have no proof-grammar mapping")
+        expr: Expr = StringLit(resolved.parts[0].letters)
+        for _ in node.removed:
+            expr = Call(_DROP[action], (expr,))
+        actions.append(AssertEquality(expr, letters))
+    elif isinstance(node, Initials):
+        phrases = StringLit(" ".join(node.phrases))
+        actions.append(AssertEquality(Call("initials", (phrases,)), letters))
+    elif isinstance(node, Hidden):
+        span = Call("hidden_span", (StringLit(node.host_text), StringLit(node.letters)))
+        actions.append(AssertEquality(span, letters))
+        taken = [StringLit(piece) for _, piece, _ in notation.hidden_pieces(node) if piece]
+        if len(taken) >= 2:
+            actions.append(AssertEquality(Concat(tuple(taken)), letters))
+    elif isinstance(node, Container):
+        outer, inner = (part.letters for part in resolved.parts)
+        pieces = (outer[: resolved.split], inner, outer[resolved.split :])
+        actions.append(AssertEquality(Concat(tuple(map(StringLit, pieces))), letters))
+    elif isinstance(node, Homophone):
+        if node.origin:
+            origin_letters = normalize_letters(node.sounds_like)
+            leaves.append(AssertPredicate("is_synonym", (node.origin, origin_letters)))
+        actions.append(AssertPredicate("is_homophone", (node.sounds_like, resolved.letters)))
+    else:
+        raise UnsupportedNode(f"no proof mapping for {type(node).__name__}")
 
 
 # -- prompt assembly -------------------------------------------------------------
@@ -421,8 +355,8 @@ def prove_with_rewrites(
     if not 1 <= max_calls <= MAX_GENERATOR_CALLS:
         raise ValueError(f"max_calls must be 1..{MAX_GENERATOR_CALLS}, got {max_calls}")
     attempts: list[Attempt] = []
-    # Reply text -> (outcome, failure report or None when proved).
-    verdicts: dict[str, tuple[VerificationOutcome, Optional[str]]] = {}
+    # Reply text -> (outcome, failure report, empty when proved).
+    verdicts: dict[str, tuple[VerificationOutcome, str]] = {}
     report: Optional[str] = None
     previous: Optional[str] = None
     for index in range(max_calls):
@@ -434,12 +368,12 @@ def prove_with_rewrites(
         if response not in verdicts:
             outcome = verify_text(response, lexicon)
             proved = outcome.status is ProofStatus.PROVED
-            verdicts[response] = (outcome, None if proved else render_failure_report(outcome))
-        outcome, failure_report = verdicts[response]
-        attempts.append(Attempt(prompt, response, outcome))
-        if failure_report is None:
+            verdicts[response] = (outcome, "" if proved else render_failure_report(outcome))
+        attempt = Attempt(prompt, response, *verdicts[response])
+        attempts.append(attempt)
+        if attempt.outcome.status is ProofStatus.PROVED:
             return GeneratorTranscript(tuple(attempts), index)
-        previous, report = response, failure_report
+        previous, report = response, attempt.failure_report
     if max_calls < MAX_GENERATOR_CALLS:
         return GeneratorTranscript(
             tuple(attempts),
@@ -451,18 +385,13 @@ def prove_with_rewrites(
 
 def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> None:
     """One JSON line per attempt: prompt, response, status, failure report."""
-    reports: dict[VerificationOutcome, str] = {}
     lines = []
     for attempt in transcript.attempts:
-        outcome = attempt.outcome
-        if outcome not in reports:
-            proved = outcome.status is ProofStatus.PROVED
-            reports[outcome] = "" if proved else render_failure_report(outcome)
         record = {
             "prompt": attempt.prompt,
             "response": attempt.response,
-            "status": outcome.status.name,
-            "failure_report": reports[outcome],
+            "status": attempt.outcome.status.name,
+            "failure_report": attempt.failure_report,
         }
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -470,8 +399,7 @@ def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> 
 
 def load_transcript_responses(path: Union[str, Path]) -> list[str]:
     """The responses of a transcript written by ``save_transcript``, in order."""
-    attempts = lexfiles.json_lines(Path(path).read_bytes(), path)
-    return [attempt["response"] for _, attempt in attempts]
+    return list(lexfiles.json_lines(Path(path).read_bytes(), path, itemgetter("response")))
 
 
 # -- generators ------------------------------------------------------------------

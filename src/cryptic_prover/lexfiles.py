@@ -16,6 +16,8 @@ abbreviation expansions is kept for hint rendering, in file order.
 transcripts) or takes in (pre-generated annotations).  Lines end at
 ``\n`` only: the writers keep non-ASCII text raw, so a string may hold
 U+2028 or ``\x1c``, where ``str.splitlines`` would also break.
+``split_lines`` applies the same rule to text: proof scripts, annotation
+files and embedding files.
 """
 
 from __future__ import annotations
@@ -23,13 +25,20 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from cryptic_prover.core import ActionKind, normalize_letters
 
 
 class LexiconFormatError(ValueError):
     """A lexicon file line does not have the expected columns."""
+
+
+class RecordError(ValueError):
+    """A JSON-lines record that cannot be read; names the file and the line."""
+
+
+T = TypeVar("T")
 
 
 def seed_path(name: str) -> Path:
@@ -51,21 +60,33 @@ def seed_lexicon_files() -> dict[str, Path | tuple[Path, ...]]:
     }
 
 
-def json_lines(data: bytes, path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, decoded value) for each non-blank line of a JSON-lines file.
+def json_lines(data: bytes, path: str | Path, read: Callable[[Any], T]) -> Iterator[T]:
+    """``read(value)`` for the decoded value of each non-blank line of a JSON-lines file.
 
-    A line that is not UTF-8 JSON raises ValueError naming ``path`` and
-    the line number.
+    A line that is not UTF-8 JSON, or whose value ``read`` rejects with
+    KeyError, TypeError or ValueError, raises RecordError naming ``path``
+    and the line number.
     """
     for number, raw in enumerate(data.split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            value = json.loads(line)
-        except ValueError as error:
-            raise ValueError(f"{path}: line {number}: malformed record: {error}") from None
-        yield number, value
+            value = read(json.loads(line))
+        except (KeyError, TypeError, ValueError) as error:
+            detail = f"missing key {error}" if isinstance(error, KeyError) else error
+            raise RecordError(f"{path}: line {number}: malformed record: {detail}") from None
+        yield value
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``: split at ``\\n`` only, trailing ``\\r`` dropped."""
+    return [line.rstrip("\r") for line in text.split("\n")]
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The ``split_lines`` of a UTF-8 file, read without newline translation."""
+    return split_lines(Path(path).read_bytes().decode("utf-8"))
 
 
 def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -26,6 +26,13 @@ standardised dialect.  The conventions this module understands:
 cannot account for it), permuting anagrams, spelling out homophones and
 searching container split points as needed.
 
+Each node kind's rules are defined once, here, and every reader uses
+them: ``indicator_action`` (the action a node's indicator must signify),
+``deletion_split`` (the letters a deletion keeps before, removes and keeps
+after), ``hidden_pieces`` (which letters of each host word a hidden answer
+takes) and ``surface_letters``.  The parser, the renderer, the resolver
+and ``formalize.compile_wordplay`` all read these.
+
 Which bare phrases are signifiers (``(hides)``, ``around``) and which
 short glosses are abbreviations comes from an ``oracles.Lexicon``:
 ``parse_wordplay(annotation, lexicon)`` and ``render_wordplay(node,
@@ -122,17 +129,7 @@ class Deletion:
 
     def __post_init__(self):
         _require_caps(self.removed, "Deletion removed letters")
-        s = surface_letters(self.source)
-        r = self.removed
-        if len(r) >= len(s):
-            raise ValueError(f"cannot delete {r!r} from {s!r}: nothing would remain")
-        ok = {
-            DeletionKind.FIRST: s.startswith(r),
-            DeletionKind.LAST: s.endswith(r),
-            DeletionKind.INNER: _inner_removal_index(s, r) is not None,
-        }[self.kind]
-        if not ok:
-            raise ValueError(f"{r!r} is not a {self.kind.name} segment of {s!r}")
+        deletion_split(self)
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,87 @@ WordplayNode = Union[
 ]
 
 
-def _inner_removal_index(s: str, removed: str) -> Optional[int]:
-    for i in range(1, len(s) - len(removed)):
-        if s[i : i + len(removed)] == removed:
-            return i
-    return None
+# --------------------------------------------------------------------------
+# Node rules: what each node kind signifies and which letters it takes.
+
+_NODE_ACTION = {
+    Anagram: ActionKind.ANAGRAM,
+    Reversal: ActionKind.REVERSE,
+    Initials: ActionKind.INITIALS,
+    Hidden: ActionKind.SUBSTRING,
+    Homophone: ActionKind.HOMOPHONE,
+}
+_DELETION_ACTION = {
+    DeletionKind.FIRST: ActionKind.REMOVE_FIRST,
+    DeletionKind.LAST: ActionKind.REMOVE_LAST,
+}
+
+
+def indicator_action(node: WordplayNode) -> Optional[ActionKind]:
+    """The action a node's indicator must signify.
+
+    ``None`` for nodes without an indicator (leaves, sequences, double
+    definitions) and for inner deletions, which no ``ActionKind`` names.
+    """
+    if isinstance(node, Deletion):
+        return _DELETION_ACTION.get(node.kind)
+    if isinstance(node, Container):
+        return ActionKind.GOES_INSIDE if node.inserted else ActionKind.GOES_OUTSIDE
+    return _NODE_ACTION.get(type(node))
+
+
+def deletion_split(node: Deletion) -> tuple[str, str, str]:
+    """The source letters as (kept before, removed, kept after).
+
+    FIRST removes a prefix, LAST a suffix and INNER the first run that
+    keeps a letter on each side.  ValueError when the removed letters are
+    not such a run, or when nothing would remain.
+    """
+    s = surface_letters(node.source)
+    r = node.removed
+    if len(r) >= len(s):
+        raise ValueError(f"cannot delete {r!r} from {s!r}: nothing would remain")
+    if node.kind is DeletionKind.FIRST:
+        i = 0 if s.startswith(r) else -1
+    elif node.kind is DeletionKind.LAST:
+        i = len(s) - len(r) if s.endswith(r) else -1
+    else:
+        i = s.find(r, 1, len(s) - 1)
+    if i < 0:
+        raise ValueError(f"{r!r} is not a {node.kind.name} segment of {s!r}")
+    return s[:i], r, s[i + len(r) :]
+
+
+def hidden_pieces(node: Hidden) -> list[tuple[str, str, str]]:
+    """Per host word, its letters before, inside and after the hidden answer.
+
+    Brackets may only open the first word and close the last, so the
+    answer is taken at the first occurrence whose overhangs stay within
+    those words (strictly inside a one-word host), failing that at the
+    first occurrence.
+    """
+    norms = [normalize_letters(word) for word in node.host_text.split()]
+    joined = "".join(norms)
+    start = probe = joined.find(node.letters)
+    while probe >= 0:
+        end = probe + len(node.letters)
+        if len(norms) == 1:
+            fits = 0 < probe and end < len(joined)
+        else:
+            fits = probe <= len(norms[0]) and end >= len(joined) - len(norms[-1])
+        if fits:
+            start = probe
+            break
+        probe = joined.find(node.letters, probe + 1)
+    end = start + len(node.letters)
+    pieces = []
+    offset = 0
+    for norm in norms:
+        lo = min(max(start - offset, 0), len(norm))
+        hi = min(max(end - offset, 0), len(norm))
+        pieces.append((norm[:lo], norm[lo:hi], norm[hi:]))
+        offset += len(norm)
+    return pieces
 
 
 def surface_letters(node: WordplayNode) -> str:
@@ -250,15 +323,8 @@ def surface_letters(node: WordplayNode) -> str:
     if isinstance(node, Reversal):
         return surface_letters(node.source)[::-1]
     if isinstance(node, Deletion):
-        s = surface_letters(node.source)
-        r = node.removed
-        if node.kind is DeletionKind.FIRST:
-            return s[len(r) :]
-        if node.kind is DeletionKind.LAST:
-            return s[: len(s) - len(r)]
-        i = _inner_removal_index(s, r)
-        assert i is not None
-        return s[:i] + s[i + len(r) :]
+        before, _, after = deletion_split(node)
+        return before + after
     if isinstance(node, Initials):
         return "".join(
             normalize_letters(word)[:1]
@@ -392,24 +458,6 @@ _ABBREV_MARKERS = {"short form", "abbreviation", "abbrev", "abbr", "for short", 
 _GLUE_WORDS = {"of", "to", "on", "a", "an", "the", "and", "it", "is", "for"}
 _CONTAINER_ACTIONS = {ActionKind.GOES_INSIDE, ActionKind.GOES_OUTSIDE}
 
-_NODE_ACTION = {
-    Anagram: ActionKind.ANAGRAM,
-    Reversal: ActionKind.REVERSE,
-    Initials: ActionKind.INITIALS,
-    Hidden: ActionKind.SUBSTRING,
-    Homophone: ActionKind.HOMOPHONE,
-}
-
-
-def _node_action(node: WordplayNode) -> Optional[ActionKind]:
-    if isinstance(node, Deletion):
-        if node.kind is DeletionKind.FIRST:
-            return ActionKind.REMOVE_FIRST
-        if node.kind is DeletionKind.LAST:
-            return ActionKind.REMOVE_LAST
-        return None
-    return _NODE_ACTION.get(type(node))
-
 
 def _wrap_gloss(node: WordplayNode, phrase: str, abbrev: bool, lexicon: Lexicon) -> Optional[WordplayNode]:
     """Attach an origin gloss to the innermost bare Literal, if there is one."""
@@ -435,12 +483,15 @@ def _mark_abbrev(node: WordplayNode) -> Optional[WordplayNode]:
 
 
 def _set_indicator(node: WordplayNode, text: str, wanted: Optional[set[ActionKind]]) -> Optional[WordplayNode]:
-    """Set an empty indicator slot when the signifier suits the node's action."""
-    action = _node_action(node)
-    if isinstance(node, Deletion):
-        suits = wanted is None or (action is not None and action in wanted)
+    """Set an empty indicator slot when the signifier suits the node's action.
+
+    ``wanted`` is None for a ``(-...)`` removal signifier, which suits any
+    deletion.
+    """
+    if wanted is None:
+        suits = isinstance(node, Deletion)
     else:
-        suits = action is not None and wanted is not None and action in wanted
+        suits = indicator_action(node) in wanted
     if suits and getattr(node, "indicator", None) == "":
         return dataclasses.replace(node, indicator=text)
     return None
@@ -966,28 +1017,11 @@ def _leaf_text(node: WordplayNode, letters: Optional[str] = None) -> str:
     raise TypeError(f"not a leaf: {node!r}")
 
 
-def _bracketed(kept_before: str, removed: str, kept_after: str) -> str:
-    out = kept_before
-    out += f"[{removed.lower()}]"
-    out += kept_after
-    return out
-
-
 def _render_deletion(node: Deletion) -> str:
-    s = surface_letters(node.source)
-    r = node.removed
-    if node.kind is DeletionKind.FIRST:
-        body = _bracketed("", r, s[len(r) :])
-    elif node.kind is DeletionKind.LAST:
-        body = _bracketed(s[: len(s) - len(r)], r, "")
-    else:
-        i = _inner_removal_index(s, r)
-        assert i is not None
-        body = _bracketed(s[:i], r, s[i + len(r) :])
-    if isinstance(node.source, SynonymOf):
-        body += f" ({node.source.phrase})"
-    elif isinstance(node.source, AbbrevOf):
-        body += f" ({node.source.phrase}, short form)"
+    before, removed, after = deletion_split(node)
+    body = f"{before}[{removed.lower()}]{after}"
+    if isinstance(node.source, (SynonymOf, AbbrevOf)):
+        body = _leaf_text(node.source, body)
     if node.indicator:
         body += f" (-{node.indicator})"
     return body
@@ -1007,39 +1041,16 @@ def _render_initials(node: Initials) -> str:
 
 
 def _render_hidden(node: Hidden) -> str:
-    words = node.host_text.split()
-    norms = [normalize_letters(w) for w in words]
-    joined = "".join(norms)
-    # Brackets may only open the first word and close the last, so prefer an
-    # occurrence of the letters whose overhangs stay within those words.
-    start = joined.find(node.letters)
-    assert start >= 0
-    probe = start
-    while probe >= 0:
-        end = probe + len(node.letters)
-        if len(norms) == 1:
-            fits = 0 < probe and end < len(joined)
-        else:
-            fits = probe <= len(norms[0]) and end >= len(joined) - len(norms[-1])
-        if fits:
-            start = probe
-            break
-        probe = joined.find(node.letters, probe + 1)
-    end = start + len(node.letters)
     rendered = []
-    offset = 0
-    for norm in norms:
-        a, b = offset, offset + len(norm)
-        lo, hi = max(a, start), min(b, end)
-        if lo >= hi:
-            rendered.append(f"[{norm.lower()}]")
+    for before, taken, after in hidden_pieces(node):
+        if not taken:
+            rendered.append(f"[{(before + after).lower()}]")
         else:
-            pre = norm[: lo - a].lower()
-            mid = norm[lo - a : hi - a]
-            post = norm[hi - a :].lower()
-            text = (f"[{pre}]" if pre else "") + mid + (f"[{post}]" if post else "")
-            rendered.append(text)
-        offset = b
+            rendered.append(
+                (f"[{before.lower()}]" if before else "")
+                + taken
+                + (f"[{after.lower()}]" if after else "")
+            )
     text = " ".join(rendered)
     if node.indicator:
         text += f" ({node.indicator})"
@@ -1054,8 +1065,7 @@ def _render_container(node: Container, lexicon: Lexicon) -> str:
     else:
         outer_text = render_wordplay(node.outer, lexicon)
     inner_text = render_wordplay(node.inner, lexicon)
-    wanted = ActionKind.GOES_INSIDE if node.inserted else ActionKind.GOES_OUTSIDE
-    if node.indicator and wanted in lexicon.actions(node.indicator):
+    if node.indicator and indicator_action(node) in lexicon.actions(node.indicator):
         connector = node.indicator
     else:
         connector = "in" if node.inserted else "around"

@@ -306,8 +306,7 @@ def parse_proof(script: str) -> ProofScript:
     statements: list[Statement] = []
     saw_header = False
 
-    for line_no, raw in enumerate(script.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(lexfiles.split_lines(script), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

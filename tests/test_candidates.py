@@ -93,6 +93,13 @@ class TestLoadEmbeddings:
         path = write_table(tmp_path, "2 2\nape 1 0\n\nbee 0 1\n")
         assert len(load_embeddings(path).vectors) == 2
 
+    def test_lines_end_at_newline_only(self, tmp_path):
+        # U+2028 is whitespace inside a line, not a line break.
+        path = write_table(tmp_path, "2 2\r\nape 1\u20280\r\nbee 0 1\n")
+        table = load_embeddings(path)
+        assert np.array_equal(table.vectors["ape"], np.array([1.0, 0.0]))
+        assert len(table.vectors) == 2
+
     def test_packaged_fixture_loads(self, table):
         assert len(table.vectors) == 50
         assert table.dimension == 16

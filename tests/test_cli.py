@@ -54,6 +54,14 @@ class TestParse:
         assert lines[0].startswith("CORSET\t")
         assert lines[1].startswith("CAMERA\t")
 
+    def test_file_lines_end_at_newline_only(self, tmp_path, capsys):
+        path = tmp_path / "wordplays.txt"
+        path.write_text("CAME (arrived\u2028) + RA (artist)\r\n", encoding="utf-8")
+        assert main(["parse", "--file", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("letters: CAMERA\n")
+        assert captured.err == ""
+
     def test_json_mode_is_machine_parseable(self, capsys):
         assert main(["parse", "--json", "O (nothing) with VICE (wickedness) around it (about)"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -237,6 +245,49 @@ class TestExperiment:
         clues = clue_file(tmp_path)
         assert main(["experiment", "--clues", str(clues), "--rewrite-cap", "9"]) == 2
         assert "rewrite cap" in capsys.readouterr().err
+
+
+class TestMalformedInputFiles:
+    """A bad JSON-lines input is one stderr line naming the file and line, exit 2."""
+
+    def assert_input_error(self, capsys, path, line):
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert f"{path}: line {line}: malformed record" in err
+        return err
+
+    def test_tabulate(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("not json\n")
+        assert main(["tabulate", str(path)]) == 2
+        self.assert_input_error(capsys, path, 1)
+
+    def test_experiment_annotations_missing_a_key(self, tmp_path, capsys):
+        clues = clue_file(tmp_path)
+        path = tmp_path / "annotations.jsonl"
+        entry = {"clue_id": "x", "candidate": "ESCORT", "definition": "d", "wordplay": "w"}
+        path.write_text("\n" + json.dumps(entry) + "\n")
+        assert main(["experiment", "--clues", str(clues), "--annotations", str(path)]) == 2
+        err = self.assert_input_error(capsys, path, 2)
+        assert "missing key 'sample_index'" in err
+
+    def test_experiment_resume(self, tmp_path, capsys):
+        clues = clue_file(tmp_path)
+        base = ["experiment", "--clues", str(clues), "--samples", "1"]
+        assert main(base) == 0
+        results = tmp_path / "runs" / "results.jsonl"
+        results.write_text("not json\n" + results.read_text())
+        capsys.readouterr()
+        assert main(base + ["--resume"]) == 2
+        self.assert_input_error(capsys, results, 1)
+
+    def test_experiment_replay_generator(self, tmp_path, capsys):
+        clues = clue_file(tmp_path)
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"prompt": "p"}\n')
+        assert main(["experiment", "--clues", str(clues), "--generator", "replay",
+                     "--replay", str(path)]) == 2
+        self.assert_input_error(capsys, path, 1)
 
 
 class TestTabulate:

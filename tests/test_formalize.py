@@ -122,6 +122,34 @@ class TestCompile:
         assert "hidden_span('found ermine deer', 'UNDERMINED') == 'UNDERMINED'" in text
         assert "assert 'UND' + 'ERMINE' + 'D' == 'UNDERMINED'" in text
 
+    def test_hidden_splits_at_the_bracketed_occurrence(self, lexicon):
+        # The first ANA in "ANANAX" lies inside "anan"; the brackets mark
+        # the one that runs into "ax".
+        annotation = "[an]AN A[x] (hides)"
+        request = ProofRequest(
+            clue=Clue(surface="Banana axe hides answer", pattern=Pattern.parse("3")),
+            candidate_answer="ANA",
+            definition="Banana axe hides answer",
+            wordplay=annotation,
+        )
+        proof = compile_wordplay(notation.parse_wordplay(annotation), request)
+        assert "assert 'AN' + 'A' == 'ANA'" in render_proof(proof).splitlines()
+        assert verify(proof, lexicon).status is ProofStatus.PROVED
+
+    def test_reversal_reverses_the_letters_its_operand_resolved_to(self, lexicon):
+        # The anagram resolves to ESCORT; reversing its unpermuted CORSET
+        # would not give the answer.
+        annotation = "((corset)* (*shredded))< (<back)"
+        request = ProofRequest(
+            clue=Clue(surface="Shredded corset back", pattern=Pattern.parse("6")),
+            candidate_answer="TROCSE",
+            definition="Shredded corset back",
+            wordplay=annotation,
+        )
+        proof = compile_wordplay(notation.parse_wordplay(annotation), request)
+        assert "assert reverse('ESCORT') == 'TROCSE'" in render_proof(proof).splitlines()
+        assert verify(proof, lexicon).status is ProofStatus.PROVED
+
     def test_homophone_asserts_origin_indicator_and_sound(self):
         clue = next(c for c in worked_clues() if c.gold_answer == "PARE")
         text = render_proof(compile_clue(clue))

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from cryptic_prover import lexfiles
 from cryptic_prover import notation as n
-from cryptic_prover.core import ActionKind
+from cryptic_prover.core import ActionKind, Clue, Pattern
+from cryptic_prover.formalize import ProofRequest, compile_wordplay
 from cryptic_prover.oracles import Lexicon, seed_lexicon
+from cryptic_prover.verifier import AssertEquality, Concat
 
 
 WORKED = [
@@ -435,3 +438,22 @@ def test_parse_inverts_render(node):
 def test_surface_letters_is_stable_under_round_trip(node):
     again = n.parse_wordplay(n.render_wordplay(node))
     assert n.surface_letters(again) == n.surface_letters(node)
+
+
+@given(hiddens())
+@settings(max_examples=200, deadline=None)
+def test_compiled_hidden_pieces_are_the_rendered_capitals(node):
+    letters = node.letters
+    request = ProofRequest(
+        clue=Clue(surface=node.host_text, pattern=Pattern.parse(str(len(letters)))),
+        candidate_answer=letters,
+        definition=node.host_text,
+        wordplay=n.render_wordplay(node),
+    )
+    concats = [
+        statement.lhs
+        for statement in compile_wordplay(node, request).statements
+        if isinstance(statement, AssertEquality) and isinstance(statement.lhs, Concat)
+    ]
+    pieces = [part.value for part in concats[0].parts] if concats else [letters]
+    assert pieces == re.findall(r"[A-Z]+", n.render_wordplay(node))
