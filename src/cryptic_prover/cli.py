@@ -150,7 +150,10 @@ def _seed_defaults() -> dict:
 def _load_config_file(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    try:
+        raw = yaml.load(path.read_bytes(), Loader=dataset.YAML_LOADER) or {}
+    except yaml.YAMLError as error:
+        raise ConfigError(dataset.yaml_problem(path, error)) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file must hold a mapping: {path}")
     unknown = set(raw) - set(_CONFIG_KEYS) - {"indicators"}
@@ -339,7 +342,7 @@ def cmd_parse(config: CliConfig, args) -> int:
 
 
 def cmd_verify(config: CliConfig, args) -> int:
-    script = Path(args.proof).read_text(encoding="utf-8")
+    script = Path(args.proof).read_bytes().decode("utf-8")
     outcome = verify_text(script, config.lexicon())
     report = (
         "" if outcome.status is ProofStatus.PROVED else render_failure_report(outcome)
@@ -573,7 +576,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         print(f"file error: {error}", file=sys.stderr)
         return 2
-    except lexfiles.RecordError as error:
+    except (lexfiles.RecordError, dataset.SchemaError) as error:
         print(f"input error: {error}", file=sys.stderr)
         return 2
 

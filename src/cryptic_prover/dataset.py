@@ -9,7 +9,8 @@ A puzzle file is a YAML stream; each document is one puzzle with ``title``,
 * ``answer``   - the gold answer, when known
 * ``wordplay`` - community-notation wordplay annotation, when known
 
-Unknown keys on a clue entry are ignored.
+Unknown keys on a clue entry are ignored.  A file that is not valid YAML,
+or does not have this shape, raises ``SchemaError`` naming the file.
 
 Clues get stable identifiers of the form ``<url-slug>#<index>`` so that
 experiment records can be resumed and joined across runs.
@@ -25,6 +26,10 @@ from urllib.parse import urlparse
 import yaml
 
 from cryptic_prover.core import Clue, DefinitionSpan, Direction, Pattern, PatternError
+
+# libyaml's loader builds the same objects as the pure-Python one (both use
+# the Python resolver and constructor) and parses several times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _DOC_KEYS = ("title", "url", "author", "clues")
 _REQUIRED_CLUE_KEYS = ("clue", "pattern")
@@ -95,7 +100,7 @@ def _clue_from_entry(entry: Any, index: int, slug: str, doc_title: str) -> Clue:
         raise SchemaError(f"{where}: 'clue' must be a string")
     try:
         spans, surface = extract_definition(annotated)
-    except UnbalancedBraces as exc:
+    except ValueError as exc:  # unbalanced braces, or an empty '{}' span
         raise SchemaError(f"{where}: {exc}") from exc
     try:
         pattern = Pattern.parse(str(entry["pattern"]))
@@ -146,9 +151,28 @@ def _document_from_mapping(raw: Any, doc_index: int) -> PuzzleDocument:
     return PuzzleDocument(title=title, url=str(raw["url"]), author=str(raw["author"]), clues=clues)
 
 
+def yaml_problem(path: str | Path, error: yaml.YAMLError) -> str:
+    """One line naming ``path`` and, for a syntax error, the line it was found on."""
+    mark = getattr(error, "problem_mark", None)
+    if mark is None:
+        return f"{path}: {' '.join(str(error).split())}"
+    detail = f"{path}: line {mark.line + 1}: {error.problem}"
+    if error.context and error.context_mark:
+        detail += f" ({error.context} from line {error.context_mark.line + 1})"
+    return detail
+
+
 def load_puzzles(path: str | Path) -> list[PuzzleDocument]:
     """Load every puzzle document from a YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_docs = [d for d in yaml.safe_load_all(fh) if d is not None]
-    return [_document_from_mapping(raw, i) for i, raw in enumerate(raw_docs)]
+    try:
+        raw_docs = [
+            d for d in yaml.load_all(Path(path).read_bytes(), Loader=YAML_LOADER)
+            if d is not None
+        ]
+    except yaml.YAMLError as error:
+        raise SchemaError(yaml_problem(path, error)) from None
+    try:
+        return [_document_from_mapping(raw, i) for i, raw in enumerate(raw_docs)]
+    except SchemaError as error:
+        raise SchemaError(f"{path}: {error}") from None
 

@@ -44,8 +44,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import requests
-
 from cryptic_prover import dataset, lexfiles, notation
 from cryptic_prover.core import (
     ActionKind,
@@ -512,6 +510,8 @@ class HttpChatGenerator:
         }
         if self.temperature is not None:
             payload["temperature"] = self.temperature
+        import requests  # only a live run pays for importing the HTTP stack
+
         with self._slots:
             try:
                 response = requests.post(

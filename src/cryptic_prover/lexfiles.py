@@ -17,7 +17,7 @@ transcripts) or takes in (pre-generated annotations).  Lines end at
 ``\n`` only: the writers keep non-ASCII text raw, so a string may hold
 U+2028 or ``\x1c``, where ``str.splitlines`` would also break.
 ``split_lines`` applies the same rule to text: proof scripts, annotation
-files and embedding files.
+files, embedding files and the lexicon files above.
 """
 
 from __future__ import annotations
@@ -90,11 +90,8 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
 
 

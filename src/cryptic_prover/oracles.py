@@ -95,7 +95,7 @@ class Lexicon:
         }
         self._homophone_pairs = frozenset(frozenset(p) for p in (homophone_pairs or ()))
         self.wordlist: tuple[str, ...] = tuple(
-            dict.fromkeys(normalize_letters(w) for w in (wordlist or ()) if normalize_letters(w))
+            dict.fromkeys(filter(None, map(normalize_letters, wordlist or ())))
         )
 
     def actions(self, phrase: str) -> frozenset[ActionKind]:

@@ -8,6 +8,8 @@ import yaml
 from cryptic_prover import lexfiles
 from cryptic_prover.cli import main
 from cryptic_prover.core import Clue, Pattern
+from cryptic_prover.oracles import seed_lexicon
+from cryptic_prover.verifier import ProofStatus, verify_text
 
 CAMERA_PROOF = lexfiles.seed_path("fixtures/proofs/camera.proof")
 RUDE_PROOF = lexfiles.seed_path("fixtures/proofs/rude.proof")
@@ -88,6 +90,14 @@ class TestVerify:
         path.write_text("this is not a proof\n")
         assert main(["verify", str(path)]) == 2
         assert "ParseError" in capsys.readouterr().out
+
+    def test_lines_end_at_newline_only(self, tmp_path, capsys):
+        script = CAMERA_PROOF.read_bytes() + b"# note\rassert 'QQ' == 'ZZ'\n"
+        path = tmp_path / "camera.proof"
+        path.write_bytes(script)
+        assert verify_text(script.decode("utf-8"), seed_lexicon()).status is ProofStatus.PROVED
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "PROVED"
 
     def test_missing_file_is_a_file_error(self, capsys):
         assert main(["verify", "no-such.proof"]) == 2
@@ -288,6 +298,40 @@ class TestMalformedInputFiles:
         assert main(["experiment", "--clues", str(clues), "--generator", "replay",
                      "--replay", str(path)]) == 2
         self.assert_input_error(capsys, path, 1)
+
+
+class TestMalformedYamlFiles:
+    """A bad puzzle or config file is one stderr line naming the file, exit 2.
+
+    libyaml and the pure-Python loader word their errors differently, so
+    only the file, the line and the exit code are checked.
+    """
+
+    def one_line_error(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+        return err
+
+    def test_clue_file_with_an_unterminated_quoted_scalar(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("title: t\nurl: u\nauthor: a\nclues:\n- pattern: '1'\n  clue: '{x} y\n")
+        assert main(["experiment", "--clues", str(path)]) == 2
+        err = self.one_line_error(capsys, "input error: ")
+        assert f"{path}: line 7: " in err and "from line 6" in err
+
+    def test_clue_missing_its_pattern(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("title: t\nurl: u\nauthor: a\nclues:\n- clue: '{x} y'\n")
+        assert main(["experiment", "--clues", str(path)]) == 2
+        err = self.one_line_error(capsys, "input error: ")
+        assert f"{path}: clue 0 of 't': missing key 'pattern'" in err
+
+    def test_config_file_with_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("output_dir: out\nsamples: [2\n")
+        assert main(["--config", str(path), "tabulate", "results.jsonl"]) == 2
+        err = self.one_line_error(capsys, "config error: ")
+        assert f"{path}: line 3: " in err
 
 
 class TestTabulate:

@@ -1,8 +1,10 @@
 """Compiling annotations into proofs and the generate/verify/rewrite loop."""
 
 import json
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -493,6 +495,17 @@ class TestTranscript:
 
 
 class TestHttpGenerator:
+    def test_importing_the_cli_leaves_requests_unloaded(self):
+        src = str(Path(formalize.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import cryptic_prover.cli; "
+            "assert 'requests' not in sys.modules, 'requests was imported'"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_missing_api_key_is_unavailable_not_an_error(self, monkeypatch):
         monkeypatch.delenv("CRYPTIC_PROVER_API_KEY", raising=False)
         generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
@@ -514,7 +527,7 @@ class TestHttpGenerator:
             seen.update(url=url, payload=json, headers=headers, timeout=timeout)
             return FakeResponse()
 
-        monkeypatch.setattr(formalize.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         generator = HttpChatGenerator(
             "https://example.invalid/v1", "tiny", temperature=0.2, timeout=9.0
         )
@@ -532,7 +545,7 @@ class TestHttpGenerator:
         def fake_post(*args, **kwargs):
             raise requests.ConnectionError("no route to host")
 
-        monkeypatch.setattr(formalize.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
         with pytest.raises(GeneratorUnavailable, match="no route"):
             generator.generate("hello")
@@ -548,7 +561,7 @@ class TestHttpGenerator:
                 return {"unexpected": True}
 
         monkeypatch.setattr(
-            formalize.requests, "post", lambda *a, **k: FakeResponse()
+            requests, "post", lambda *a, **k: FakeResponse()
         )
         generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
         with pytest.raises(GeneratorUnavailable, match="malformed"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cryptic_prover import lexfiles
 from cryptic_prover.core import ActionKind
 from cryptic_prover.oracles import Lexicon, OracleVerdict, seed_lexicon
 
@@ -222,6 +223,12 @@ class TestVerdictAndLexicon:
         assert lexicon.action_type("stirred", ActionKind.ANAGRAM).ok
         assert lexicon.is_homophone("two", "TOO").ok
         assert lexicon.wordlist == ("ZIP",)
+
+
+    def test_lexicon_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "thes.tsv"
+        path.write_bytes(b"# note\rchaperone\tcamera\nescort\tguide\r\n")
+        assert lexfiles.load_thesaurus(path) == {"escort": ["guide"]}
 
 
 WORKED_PREDICATE_CALLS = [
