@@ -1,12 +1,15 @@
 """Subcommand behaviour, exit codes, and config precedence."""
 
+import dataclasses
 import json
+import os
+from pathlib import Path
 
 import pytest
 import yaml
 
 from cryptic_prover import lexfiles
-from cryptic_prover.cli import main
+from cryptic_prover.cli import CliConfig, build_parser, main, resolve_config
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.oracles import seed_lexicon
 from cryptic_prover.verifier import ProofStatus, verify_text
@@ -431,3 +434,87 @@ class TestConfigPrecedence:
                      "--clues", str(clues), "--samples", "1"]) == 0
         assert (tmp_path / "elsewhere" / "results.jsonl").exists()
         assert not (tmp_path / "runs").exists()
+
+
+# field: (value in a config file or the environment, flag, resolved value).
+# A path read from a config file resolves relative to that file.
+CONFIG_SETTINGS = {
+    "thesaurus": ("t.tsv", (), Path("t.tsv")),
+    "abbreviations": ("a.tsv", (), Path("a.tsv")),
+    "indicators": (["i1.tsv", "i2.tsv"], (), (Path("i1.tsv"), Path("i2.tsv"))),
+    "homophones": ("h.tsv", (), Path("h.tsv")),
+    "wordlist": ("w.txt", (), Path("w.txt")),
+    "embeddings": ("e.txt", (), Path("e.txt")),
+    "output_dir": ("out", ("--output-dir", "out"), Path("out")),
+    "generator": ("live", ("--generator", "live"), "live"),
+    "replay": ("r.jsonl", ("--replay", "r.jsonl"), Path("r.jsonl")),
+    "endpoint": ("http://localhost:8080/v1", (), "http://localhost:8080/v1"),
+    "model": ("m-1", (), "m-1"),
+    "api_key_env": ("MY_KEY", (), "MY_KEY"),
+    "temperature": (0.5, (), 0.5),
+    "samples": (3, ("--samples", "3"), 3),
+    "rewrite_cap": (2, ("--rewrite-cap", "2"), 2),
+}
+
+
+class TestResolvedConfig:
+    """Each CliConfig field set by a config file, the environment and a flag."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Every file a setting names, in the working directory and in ``conf``."""
+        (tmp_path / "conf").mkdir()
+        for directory in (tmp_path, tmp_path / "conf"):
+            for name in ("t.tsv", "a.tsv", "i1.tsv", "i2.tsv", "h.tsv", "w.txt",
+                         "e.txt", "r.jsonl"):
+                (directory / name).write_text("")
+        return tmp_path
+
+    def resolve(self, argv=(), env=None):
+        flags = list(argv)
+        global_flags = flags[:2] if flags[:1] == ["--output-dir"] else []
+        args = build_parser().parse_args(
+            [*global_flags, "experiment", "--clues", "c.yaml", *flags[len(global_flags):]]
+        )
+        return resolve_config(args, env or {})
+
+    def expected(self, field, value):
+        defaults = CliConfig(
+            **lexfiles.seed_lexicon_files(),
+            embeddings=lexfiles.seed_path("fixtures/embeddings_16d.txt"),
+            output_dir=Path("runs"),
+        )
+        return dataclasses.replace(defaults, **{field: value})
+
+    def test_every_field_is_covered(self):
+        assert set(CONFIG_SETTINGS) == {f.name for f in dataclasses.fields(CliConfig)}
+
+    def test_defaults(self, files):
+        assert self.resolve() == self.expected("samples", 5)
+
+    @pytest.mark.parametrize("field", CONFIG_SETTINGS)
+    def test_config_file(self, files, field):
+        value, _, resolved = CONFIG_SETTINGS[field]
+        config = files / "conf" / "config.yaml"
+        config.write_text(yaml.safe_dump({field: value}))
+        if isinstance(resolved, tuple):
+            resolved = tuple(Path("conf") / p for p in resolved)
+        elif isinstance(resolved, Path):
+            resolved = Path("conf") / resolved
+        assert self.resolve(env={"CRYPTIC_PROVER_CONFIG": "conf/config.yaml"}) == (
+            self.expected(field, resolved)
+        )
+
+    @pytest.mark.parametrize("field", CONFIG_SETTINGS)
+    def test_environment(self, files, field):
+        value, _, resolved = CONFIG_SETTINGS[field]
+        raw = os.pathsep.join(value) if isinstance(value, list) else str(value)
+        env = {"CRYPTIC_PROVER_" + field.upper(): raw}
+        assert self.resolve(env=env) == self.expected(field, resolved)
+
+    @pytest.mark.parametrize(
+        "field", [field for field, setting in CONFIG_SETTINGS.items() if setting[1]]
+    )
+    def test_flag(self, files, field):
+        _, flag, resolved = CONFIG_SETTINGS[field]
+        assert self.resolve(flag) == self.expected(field, resolved)
