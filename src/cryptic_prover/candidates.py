@@ -33,16 +33,16 @@ log = logging.getLogger(__name__)
 _TOKEN = re.compile(r"[a-z]+")
 
 
-class FormatError(ValueError):
-    """An embedding file line that cannot be read; carries the line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} at line {line}")
-        self.line = line
+class FormatError(lexfiles.InputError):
+    """An embedding file line that cannot be read."""
 
 
 class DimensionMismatch(ValueError):
     """Vectors of different lengths where equal lengths are required."""
+
+
+class _VectorLengthError(FormatError, DimensionMismatch):
+    """An embedding file line whose vector length is not the header's dimension."""
 
 
 class EmptyCandidateSet(LookupError):
@@ -82,13 +82,13 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
     """Read a text vector file; duplicate words keep the first occurrence."""
     lines = lexfiles.read_lines(path)
     if not lines or not lines[0].strip():
-        raise FormatError("missing '<count> <dimension>' header", line=1)
+        raise FormatError(path, 1, "missing '<count> <dimension>' header")
     header = lines[0].split()
     if len(header) != 2 or not all(part.isdigit() for part in header):
-        raise FormatError("header must be '<count> <dimension>'", line=1)
+        raise FormatError(path, 1, "header must be '<count> <dimension>'")
     dimension = int(header[1])
     if dimension < 1:
-        raise FormatError("dimension must be at least 1", line=1)
+        raise FormatError(path, 1, "dimension must be at least 1")
 
     vectors: dict[str, np.ndarray] = {}
     for number, line in enumerate(lines[1:], start=2):
@@ -97,14 +97,13 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
         parts = line.split()
         word = parts[0].casefold()
         if len(parts) - 1 != dimension:
-            raise DimensionMismatch(
-                f"line {number}: expected {dimension} values for {word!r}, "
-                f"got {len(parts) - 1}"
+            raise _VectorLengthError(
+                path, number, f"expected {dimension} values for {word!r}, got {len(parts) - 1}"
             )
         try:
             values = np.array([float(v) for v in parts[1:]])
         except ValueError:
-            raise FormatError(f"non-numeric value for {word!r}", line=number) from None
+            raise FormatError(path, number, f"non-numeric value for {word!r}") from None
         if word in vectors:
             log.warning("duplicate embedding for %r at line %d kept first", word, number)
             continue

@@ -17,9 +17,10 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NewType, Optional, Sequence, Union
 
 import yaml
 
@@ -53,30 +54,60 @@ from cryptic_prover.oracles import Lexicon
 from cryptic_prover.verifier import ProofStatus, render_failure_report, verify_text
 
 ENV_PREFIX = "CRYPTIC_PROVER_"
-DEFAULT_API_KEY_ENV = "CRYPTIC_PROVER_API_KEY"
+
+InputFile = NewType("InputFile", Path)
+"""A configured path that must name an existing file."""
 
 
 class ConfigError(ValueError):
     """Bad or unusable configuration; reported on stderr with exit 2."""
 
 
+def _seed_file(key: str):
+    return dataclasses.field(default_factory=lambda: lexfiles.seed_lexicon_files()[key])
+
+
 @dataclass(frozen=True)
 class CliConfig:
-    thesaurus: Path
-    abbreviations: Path
-    indicators: tuple[Path, ...]
-    homophones: Path
-    wordlist: Path
-    embeddings: Path
-    output_dir: Path
+    """The resolved configuration; its fields are the whole config schema.
+
+    Each field is a config file key, an environment variable
+    ``CRYPTIC_PROVER_<FIELD>`` and, for some, a flag of the same name.
+    ``resolve_config`` reads each value as its field's type.
+    """
+
+    thesaurus: InputFile = _seed_file("thesaurus")
+    abbreviations: InputFile = _seed_file("abbreviations")
+    indicators: tuple[InputFile, ...] = _seed_file("indicators")
+    homophones: InputFile = _seed_file("homophones")
+    wordlist: InputFile = _seed_file("wordlist")
+    embeddings: InputFile = dataclasses.field(
+        default_factory=lambda: lexfiles.seed_path("fixtures/embeddings_16d.txt")
+    )
+    output_dir: Path = Path("runs")
     generator: str = "mock"
-    replay: Optional[Path] = None
+    replay: Optional[InputFile] = None
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = DEFAULT_API_KEY_ENV
+    api_key_env: str = ENV_PREFIX + "API_KEY"
     temperature: Optional[float] = None
     samples: int = 5
     rewrite_cap: int = MAX_GENERATOR_CALLS - 1
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {self.samples}")
+        if not 0 <= self.rewrite_cap < MAX_GENERATOR_CALLS:
+            raise ConfigError(
+                f"rewrite cap must be 0..{MAX_GENERATOR_CALLS - 1}, got {self.rewrite_cap}"
+            )
+        for key, hint in typing.get_type_hints(CliConfig).items():
+            value = getattr(self, key)
+            if value is None or InputFile not in (hint, *typing.get_args(hint)):
+                continue
+            for path in value if isinstance(value, tuple) else (value,):
+                if not path.is_file():
+                    raise ConfigError(f"missing {key} file: {path}")
 
     def lexicon(self) -> Lexicon:
         return Lexicon.from_files(
@@ -121,32 +152,6 @@ class CliConfig:
         return target
 
 
-_CONFIG_KEYS = (
-    "thesaurus",
-    "abbreviations",
-    "homophones",
-    "wordlist",
-    "embeddings",
-    "generator",
-    "replay",
-    "endpoint",
-    "model",
-    "api_key_env",
-    "temperature",
-    "samples",
-    "rewrite_cap",
-    "output_dir",
-)
-
-
-def _seed_defaults() -> dict:
-    return {
-        **lexfiles.seed_lexicon_files(),
-        "embeddings": lexfiles.seed_path("fixtures/embeddings_16d.txt"),
-        "output_dir": Path("runs"),
-    }
-
-
 def _load_config_file(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -156,99 +161,62 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(dataset.yaml_problem(path, error)) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file must hold a mapping: {path}")
-    unknown = set(raw) - set(_CONFIG_KEYS) - {"indicators"}
+    unknown = set(raw) - {field.name for field in dataclasses.fields(CliConfig)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     return raw
 
 
-def _env_overrides(env) -> dict:
-    values = {}
-    for key in _CONFIG_KEYS:
-        raw = env.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = raw
-    raw = env.get(ENV_PREFIX + "INDICATORS")
-    if raw is not None:
-        values["indicators"] = [p for p in raw.split(os.pathsep) if p]
-    return values
+def _coerce(key: str, hint, raw, base: Path):
+    """``raw``, the value set for ``key``, as the field type ``hint``.
+
+    Paths are taken relative to ``base``.  An optional field set to null
+    or to the empty string is unset.
+    """
+    if type(None) in typing.get_args(hint):
+        if raw is None or raw == "":
+            return None
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(raw, list):
+            raise ConfigError(f"{key} must be a list, got {raw!r}")
+        return tuple(_coerce(key, typing.get_args(hint)[0], item, base) for item in raw)
+    if raw is None or isinstance(raw, (list, dict)):
+        raise ConfigError(f"{key} must be a single value, got {raw!r}")
+    if hint in (Path, InputFile):
+        return base / str(raw)
+    try:
+        return hint(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be {hint.__name__}, got {raw!r}") from None
 
 
 def resolve_config(args: argparse.Namespace, env=os.environ) -> CliConfig:
-    """Defaults, then config file, then environment, then flags."""
-    values = _seed_defaults()
+    """Defaults, then config file, then environment, then flags.
 
+    Paths in the config file are relative to the file; those from the
+    environment or flags are relative to the working directory.  A list
+    in the environment is ``os.pathsep``-separated.
+    """
+    hints = typing.get_type_hints(CliConfig)
+    settings = {}  # key -> (raw value, directory its paths are relative to)
     config_path = getattr(args, "config", None) or env.get(ENV_PREFIX + "CONFIG")
     if config_path:
-        file_values = _load_config_file(Path(config_path))
         base = Path(config_path).parent
-        for key, value in file_values.items():
-            if key == "indicators":
-                values[key] = [base / p for p in value]
-            elif key in ("thesaurus", "abbreviations", "homophones", "wordlist",
-                         "embeddings", "replay", "output_dir"):
-                values[key] = base / str(value)
-            else:
-                values[key] = value
-
-    values.update(_env_overrides(env))
-
-    for key in _CONFIG_KEYS:
+        for key, raw in _load_config_file(Path(config_path)).items():
+            settings[key] = (raw, base)
+    for key, hint in hints.items():
+        raw = env.get(ENV_PREFIX + key.upper())
+        if raw is not None:
+            if typing.get_origin(hint) is tuple:
+                raw = [part for part in raw.split(os.pathsep) if part]
+            settings[key] = (raw, Path())
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
-    if getattr(args, "indicators", None):
-        values["indicators"] = args.indicators
-
-    try:
-        samples = int(values.get("samples", 5))
-        rewrite_cap = int(values.get("rewrite_cap", MAX_GENERATOR_CALLS - 1))
-        temperature = values.get("temperature")
-        temperature = None if temperature is None else float(temperature)
-    except (TypeError, ValueError) as error:
-        raise ConfigError(f"bad numeric config value: {error}") from None
-    if samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
-    if not 0 <= rewrite_cap < MAX_GENERATOR_CALLS:
-        raise ConfigError(
-            f"rewrite cap must be 0..{MAX_GENERATOR_CALLS - 1}, got {rewrite_cap}"
-        )
-
-    config = CliConfig(
-        thesaurus=Path(values["thesaurus"]),
-        abbreviations=Path(values["abbreviations"]),
-        indicators=tuple(Path(p) for p in values["indicators"]),
-        homophones=Path(values["homophones"]),
-        wordlist=Path(values["wordlist"]),
-        embeddings=Path(values["embeddings"]),
-        output_dir=Path(values["output_dir"]),
-        generator=str(values.get("generator", "mock")),
-        replay=Path(values["replay"]) if values.get("replay") else None,
-        endpoint=str(values.get("endpoint", "")),
-        model=str(values.get("model", "")),
-        api_key_env=str(values.get("api_key_env", DEFAULT_API_KEY_ENV)),
-        temperature=temperature,
-        samples=samples,
-        rewrite_cap=rewrite_cap,
+            settings[key] = (flag, Path())
+    return CliConfig(
+        **{key: _coerce(key, hints[key], raw, base) for key, (raw, base) in settings.items()}
     )
-    _check_files_exist(config)
-    return config
-
-
-def _check_files_exist(config: CliConfig) -> None:
-    named = [
-        ("thesaurus", config.thesaurus),
-        ("abbreviations", config.abbreviations),
-        ("homophones", config.homophones),
-        ("wordlist", config.wordlist),
-        ("embeddings", config.embeddings),
-    ]
-    named.extend(("indicators", path) for path in config.indicators)
-    if config.replay is not None:
-        named.append(("replay", config.replay))
-    for label, path in named:
-        if not Path(path).is_file():
-            raise ConfigError(f"missing {label} file: {path}")
 
 
 # -- output helpers ----------------------------------------------------------
@@ -342,8 +310,7 @@ def cmd_parse(config: CliConfig, args) -> int:
 
 
 def cmd_verify(config: CliConfig, args) -> int:
-    script = Path(args.proof).read_bytes().decode("utf-8")
-    outcome = verify_text(script, config.lexicon())
+    outcome = verify_text(lexfiles.read_text(args.proof), config.lexicon())
     report = (
         "" if outcome.status is ProofStatus.PROVED else render_failure_report(outcome)
     )
@@ -576,7 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         print(f"file error: {error}", file=sys.stderr)
         return 2
-    except (lexfiles.RecordError, dataset.SchemaError) as error:
+    except (lexfiles.InputError, dataset.SchemaError) as error:
         print(f"input error: {error}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,12 @@ than infinity.  ``classify`` compares the two candidates under one of
 those methods; ``tabulate`` turns many comparisons into the win/draw/
 loss percentage table.
 
-Records persist as JSON lines, appended as each clue finishes, so an
-interrupted run resumes without redoing finished work; a last line the
-interruption left half written is dropped and redone.
+Records persist as JSON lines, appended as each clue finishes.  The unit
+of work, and of resume, is the slot ``(clue_id, is_ground_truth,
+sample_index)``: a clue has 2 x samples slots, and each record fills one.
+A resumed run keeps the records already written and runs only the empty
+slots, searching for a decoy only when a decoy slot is empty; a last line
+the interruption left half written is dropped and its slot run again.
 """
 
 from __future__ import annotations
@@ -373,13 +376,17 @@ def run_experiment(
 ) -> list[SolveRecord]:
     """Run every (clue, candidate, sample) and return all SolveRecords.
 
-    Emits exactly 2 x samples_per_candidate records per clue: problems
-    along the way (no decoy available, unusable annotation, generator
-    outage) become FAIL records carrying the reason, never lost work.
-    With ``resume``, records already in ``results_path`` are kept and
-    their runs skipped.  Ordering is deterministic for a deterministic
-    generator; leave ``max_workers`` at 1 when byte-stable results
-    files matter.
+    Emits exactly 2 x samples_per_candidate records per clue, one per
+    slot ``(clue_id, is_ground_truth, sample_index)``.  No decoy
+    available, an annotation or request that cannot be made (LookupError
+    or ValueError) and a generator outage become FAIL records carrying
+    the reason; any other error propagates.  With ``resume``, records
+    already in ``results_path`` are kept and only the slots they leave
+    empty are run; the decoy search runs only for a clue with an empty
+    decoy slot, so a changed word list or table can give a resumed
+    clue's decoy slots different candidates.  Ordering is deterministic
+    for a deterministic generator; leave ``max_workers`` at 1 when
+    byte-stable results files matter.
     """
     if samples_per_candidate < 1:
         raise ValueError("samples_per_candidate must be at least 1")
@@ -392,37 +399,68 @@ def run_experiment(
     if annotations is None:
         annotations = GoldAnnotationSource()
 
-    done: set[tuple[str, str, int]] = set()
     existing: list[SolveRecord] = []
     if results_path is not None:
         path = Path(results_path)
         if resume and path.exists():
             existing = load_records(path)
             _cut_partial_line(path)
-            done = {(r.clue_id, r.candidate, r.sample_index) for r in existing}
         else:
             path.write_text("", encoding="utf-8")
     if transcripts_dir is not None:
         Path(transcripts_dir).mkdir(parents=True, exist_ok=True)
-
+    filled = {(r.clue_id, r.is_ground_truth, r.sample_index) for r in existing}
     wordlist = tuple(wordlist)
-    finished = _finished_clues(clues, existing, samples_per_candidate)
+
+    def solve(clue: Clue, candidate: str, is_truth: bool, sample: int) -> SolveRecord:
+        def record(rewrites: Rewrites, reason: str = "") -> SolveRecord:
+            return SolveRecord(clue.clue_id, candidate, is_truth, sample, rewrites, reason)
+
+        try:
+            definition, wordplay = annotations.annotate(clue, candidate, sample)
+            request = ProofRequest(
+                clue=clue,
+                candidate_answer=candidate,
+                definition=definition,
+                wordplay=wordplay,
+                sample_index=sample,
+            )
+        except (LookupError, ValueError) as error:
+            return record(FAIL, f"{type(error).__name__}: {error}")
+        transcript = prove_with_rewrites(
+            request, generator, lexicon, max_calls=max_generator_calls
+        )
+        if transcripts_dir is not None:
+            name = f"{_slug(clue.clue_id)}__{candidate or 'none'}__s{sample}.jsonl"
+            save_transcript(transcript, Path(transcripts_dir) / name)
+        return record(transcript.rewrites_used, transcript.failure_reason)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:
-        if clue.clue_id in finished:
-            return []
-        return _clue_records(
-            clue,
-            generator=generator,
-            lexicon=lexicon,
-            table=table,
-            wordlist=wordlist,
-            samples=samples_per_candidate,
-            annotations=annotations,
-            done=done,
-            transcripts_dir=transcripts_dir,
-            max_generator_calls=max_generator_calls,
-        )
+        empty = [
+            (is_truth, sample)
+            for is_truth in (True, False)
+            for sample in range(samples_per_candidate)
+            if (clue.clue_id, is_truth, sample) not in filled
+        ]
+        gold = normalize_letters(clue.gold_answer)
+        decoy, decoy_error = "", ""
+        if any(not is_truth for is_truth, _ in empty):
+            try:
+                decoy = closest_candidates(
+                    definition_span_text(clue), clue.pattern, gold, table, wordlist, k=1
+                )[0][0]
+            except EmptyCandidateSet as error:
+                decoy_error = f"decoy generation failed: {error}"
+                log.warning("clue %s: %s", clue.clue_id, decoy_error)
+        batch = []
+        for is_truth, sample in empty:
+            if is_truth:
+                batch.append(solve(clue, gold, True, sample))
+            elif decoy_error:
+                batch.append(SolveRecord(clue.clue_id, "", False, sample, FAIL, decoy_error))
+            else:
+                batch.append(solve(clue, decoy, False, sample))
+        return batch
 
     records = list(existing)
     with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
@@ -431,135 +469,6 @@ def run_experiment(
             if results_path is not None:
                 _append_records(results_path, batch)
     return records
-
-
-def _finished_clues(
-    clues: Sequence[Clue], existing: Sequence[SolveRecord], samples: int
-) -> set[str]:
-    """Ids of the clues whose gold and decoy samples are all recorded already.
-
-    Resume skips these clues whole, decoy search included.
-    """
-    recorded: dict[tuple[str, bool, str], set[int]] = {}
-    for record in existing:
-        key = (record.clue_id, record.is_ground_truth, record.candidate)
-        recorded.setdefault(key, set()).add(record.sample_index)
-    every = set(range(samples))
-    decoy_done = {
-        clue_id
-        for (clue_id, is_truth, _), indices in recorded.items()
-        if not is_truth and every <= indices
-    }
-    finished = set()
-    for clue in clues:
-        if clue.clue_id not in decoy_done:
-            continue
-        gold = (clue.clue_id, True, normalize_letters(clue.gold_answer))
-        if every <= recorded.get(gold, set()):
-            finished.add(clue.clue_id)
-    return finished
-
-
-def _clue_records(
-    clue: Clue,
-    *,
-    generator,
-    lexicon: Lexicon,
-    table: EmbeddingTable,
-    wordlist: tuple,
-    samples: int,
-    annotations,
-    done: set,
-    transcripts_dir,
-    max_generator_calls: int,
-) -> list[SolveRecord]:
-    gold = normalize_letters(clue.gold_answer)
-    try:
-        ranked = closest_candidates(
-            definition_span_text(clue), clue.pattern, gold, table, wordlist, k=1
-        )
-        decoy, decoy_error = ranked[0][0], ""
-    except EmptyCandidateSet as error:
-        decoy, decoy_error = "", f"decoy generation failed: {error}"
-        log.warning("clue %s: %s", clue.clue_id, decoy_error)
-
-    records = []
-    for candidate, is_truth in ((gold, True), (decoy, False)):
-        for sample in range(samples):
-            if (clue.clue_id, candidate, sample) in done:
-                continue
-            if not is_truth and decoy_error:
-                records.append(
-                    SolveRecord(
-                        clue_id=clue.clue_id,
-                        candidate="",
-                        is_ground_truth=False,
-                        sample_index=sample,
-                        rewrites=FAIL,
-                        reason=decoy_error,
-                    )
-                )
-                continue
-            records.append(
-                _solve_one(
-                    clue,
-                    candidate,
-                    is_truth,
-                    sample,
-                    generator=generator,
-                    lexicon=lexicon,
-                    annotations=annotations,
-                    transcripts_dir=transcripts_dir,
-                    max_generator_calls=max_generator_calls,
-                )
-            )
-    return records
-
-
-def _solve_one(
-    clue: Clue,
-    candidate: str,
-    is_truth: bool,
-    sample: int,
-    *,
-    generator,
-    lexicon: Lexicon,
-    annotations,
-    transcripts_dir,
-    max_generator_calls: int,
-) -> SolveRecord:
-    try:
-        definition, wordplay = annotations.annotate(clue, candidate, sample)
-        request = ProofRequest(
-            clue=clue,
-            candidate_answer=candidate,
-            definition=definition,
-            wordplay=wordplay,
-            sample_index=sample,
-        )
-        transcript = prove_with_rewrites(
-            request, generator, lexicon, max_calls=max_generator_calls
-        )
-    except Exception as error:
-        return SolveRecord(
-            clue_id=clue.clue_id,
-            candidate=candidate,
-            is_ground_truth=is_truth,
-            sample_index=sample,
-            rewrites=FAIL,
-            reason=f"{type(error).__name__}: {error}",
-        )
-    if transcripts_dir is not None:
-        name = f"{_slug(clue.clue_id)}__{candidate or 'none'}__s{sample}.jsonl"
-        save_transcript(transcript, Path(transcripts_dir) / name)
-    return SolveRecord(
-        clue_id=clue.clue_id,
-        candidate=candidate,
-        is_ground_truth=is_truth,
-        sample_index=sample,
-        rewrites=transcript.rewrites_used,
-        reason=transcript.failure_reason,
-    )
 
 
 def _slug(text: str) -> str:

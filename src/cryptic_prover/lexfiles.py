@@ -18,6 +18,9 @@ transcripts) or takes in (pre-generated annotations).  Lines end at
 U+2028 or ``\x1c``, where ``str.splitlines`` would also break.
 ``split_lines`` applies the same rule to text: proof scripts, annotation
 files, embedding files and the lexicon files above.
+
+A line that cannot be read, bytes that are not UTF-8 included, raises an
+``InputError`` whose message starts ``<path>: line <N>:``.
 """
 
 from __future__ import annotations
@@ -30,12 +33,21 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 from cryptic_prover.core import ActionKind, normalize_letters
 
 
-class LexiconFormatError(ValueError):
+class InputError(ValueError):
+    """A line of an input file that cannot be read; names the file and the line."""
+
+    def __init__(self, path: str | Path, line: int, problem: str):
+        super().__init__(f"{path}: line {line}: {problem}")
+        self.path = path
+        self.line = line
+
+
+class LexiconFormatError(InputError):
     """A lexicon file line does not have the expected columns."""
 
 
-class RecordError(ValueError):
-    """A JSON-lines record that cannot be read; names the file and the line."""
+class RecordError(InputError):
+    """A JSON-lines record that cannot be read."""
 
 
 T = TypeVar("T")
@@ -75,7 +87,7 @@ def json_lines(data: bytes, path: str | Path, read: Callable[[Any], T]) -> Itera
             value = read(json.loads(line))
         except (KeyError, TypeError, ValueError) as error:
             detail = f"missing key {error}" if isinstance(error, KeyError) else error
-            raise RecordError(f"{path}: line {number}: malformed record: {detail}") from None
+            raise RecordError(path, number, f"malformed record: {detail}") from None
         yield value
 
 
@@ -84,9 +96,23 @@ def split_lines(text: str) -> list[str]:
     return [line.rstrip("\r") for line in text.split("\n")]
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, read without newline translation.
+
+    Bytes that are not UTF-8 raise InputError naming their line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = data.count(b"\n", 0, error.start) + 1
+        problem = f"not UTF-8: byte {data[error.start]:#04x} ({error.reason})"
+        raise InputError(path, line, problem) from None
+
+
 def read_lines(path: str | Path) -> list[str]:
-    """The ``split_lines`` of a UTF-8 file, read without newline translation."""
-    return split_lines(Path(path).read_bytes().decode("utf-8"))
+    """The ``split_lines`` of ``read_text(path)``."""
+    return split_lines(read_text(path))
 
 
 def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -99,7 +125,7 @@ def _two_columns(path: str | Path) -> Iterator[tuple[str, str]]:
     for lineno, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise LexiconFormatError(f"{path}:{lineno}: expected two TAB-separated columns")
+            raise LexiconFormatError(path, lineno, "expected two TAB-separated columns")
         yield parts[0].strip(), parts[1].strip()
 
 
@@ -130,13 +156,11 @@ def load_indicators(paths: Iterable[str | Path]) -> dict[str, frozenset[ActionKi
         for lineno, line in _data_lines(path):
             parts = line.split("\t")
             if len(parts) != 2:
-                raise LexiconFormatError(
-                    f"{path}:{lineno}: expected ACTION<TAB>phrase"
-                )
+                raise LexiconFormatError(path, lineno, "expected ACTION<TAB>phrase")
             try:
                 action = ActionKind.from_name(parts[0].strip())
             except ValueError as exc:
-                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
+                raise LexiconFormatError(path, lineno, str(exc)) from None
             table.setdefault(parts[1].strip().casefold(), set()).add(action)
     return {phrase: frozenset(actions) for phrase, actions in table.items()}
 

@@ -303,6 +303,42 @@ class TestMalformedInputFiles:
         self.assert_input_error(capsys, path, 1)
 
 
+class TestUnreadableInputFiles:
+    """A text input file that cannot be read is one stderr line naming the file
+    and line, exit 2."""
+
+    def assert_input_error(self, capsys, path, line, problem):
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: line {line}: {problem}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, content, line, problem, argv",
+        [
+            ("thesaurus", b"# one column\nsolo\n", 2,
+             "expected two TAB-separated columns", ["parse", "X (y)"]),
+            ("indicators", b"mixed\n", 1, "expected ACTION<TAB>phrase", ["parse", "X (y)"]),
+            ("wordlist", b"ape\n\xff\n", 2, "not UTF-8: byte 0xff", ["parse", "X (y)"]),
+            ("embeddings", b"2 16\nfoo 1 2\n", 2, "expected 16 values for 'foo', got 2",
+             ["candidates", "--span", "guard", "--pattern", "6"]),
+        ],
+    )
+    def test_configured_file(self, tmp_path, capsys, key, content, line, problem, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({key: ["bad.txt"] if key == "indicators" else "bad.txt"}))
+        assert main(["--config", str(config), *argv]) == 2
+        self.assert_input_error(capsys, bad, line, problem)
+
+    @pytest.mark.parametrize("command", [["parse", "--file"], ["verify"]])
+    def test_file_named_by_the_command(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"X (y)\n\xff\n")
+        assert main([*command, str(bad)]) == 2
+        self.assert_input_error(capsys, bad, 2, "not UTF-8: byte 0xff")
+
+
 class TestMalformedYamlFiles:
     """A bad puzzle or config file is one stderr line naming the file, exit 2.
 
@@ -409,6 +445,12 @@ class TestConfigPrecedence:
         assert main(["--config", str(config), "parse", "X (y)"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_a_key_that_is_not_a_string_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("1: x\nsampels: 2\n")
+        assert main(["--config", str(config), "parse", "X (y)"]) == 2
+        assert "unknown config keys: 1, sampels" in capsys.readouterr().err
+
     def test_missing_config_file_exits_two(self, capsys):
         assert main(["--config", "nope.yaml", "parse", "X (y)"]) == 2
         assert "config file not found" in capsys.readouterr().err
@@ -491,6 +533,18 @@ class TestResolvedConfig:
 
     def test_defaults(self, files):
         assert self.resolve() == self.expected("samples", 5)
+
+    @pytest.mark.parametrize("line", ["indicators: i1.tsv\n", "indicators:\n"])
+    def test_indicators_must_be_a_list(self, files, capsys, line):
+        (files / "conf" / "config.yaml").write_text(line)
+        assert main(["--config", "conf/config.yaml", "parse", "X (y)"]) == 2
+        assert capsys.readouterr().err.startswith("config error: indicators must be a list")
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert set(yaml.safe_load(block)) == {f.name for f in dataclasses.fields(CliConfig)}
 
     @pytest.mark.parametrize("field", CONFIG_SETTINGS)
     def test_config_file(self, files, field):

@@ -535,6 +535,26 @@ class TestRunExperiment:
         assert searches == []
         assert len(again) == 10
 
+    def test_resume_with_a_changed_decoy_fills_only_the_empty_slots(
+        self, tmp_path, worked_clues, lexicon, table, wordlist, searches
+    ):
+        clue = next(c for c in worked_clues if c.gold_answer == "ESCORT")
+        path = tmp_path / "results.jsonl"
+        self.run([clue], lexicon, table, wordlist, results_path=path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:9]) + "\n", encoding="utf-8")
+        searches.clear()
+        without_camera = [word for word in wordlist if word != "CAMERA"]
+        resumed = self.run(
+            [clue], lexicon, table, without_camera, results_path=path, resume=True
+        )
+        assert len(searches) == 1
+        assert load_records(path) == resumed
+        assert [(r.candidate, r.sample_index) for r in resumed if not r.is_ground_truth] == [
+            ("CAMERA", 0), ("CAMERA", 1), ("CAMERA", 2), ("CAMERA", 3), ("CORSET", 4)
+        ]
+        assert len(resumed) == 10
+
     def test_without_resume_the_results_file_is_fresh(
         self, tmp_path, eight_clues, lexicon, table, wordlist
     ):
@@ -580,6 +600,16 @@ class TestRunExperiment:
         assert len(records) == 2
         assert all(r.rewrites == FAIL for r in records)
         assert all("no annotation" in r.reason for r in records)
+
+    def test_a_generator_error_propagates(self, eight_clues, lexicon, table, wordlist):
+        class BrokenGenerator:
+            def generate(self, prompt):
+                raise RuntimeError("generator bug")
+
+        with pytest.raises(RuntimeError, match="generator bug"):
+            self.run(
+                eight_clues[:1], lexicon, table, wordlist, generator=BrokenGenerator()
+            )
 
     def test_transcripts_are_saved_per_run(
         self, tmp_path, eight_clues, lexicon, table, wordlist
