@@ -79,21 +79,28 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
-    """Read a text vector file; duplicate words keep the first occurrence."""
+    """Read a text vector file; duplicate words keep the first occurrence.
+
+    A malformed vector line is reported at its line.  Then the header's
+    count must equal the number of non-blank vector lines, duplicates
+    included, so a truncated file is an error, not a smaller table.
+    """
     lines = lexfiles.read_lines(path)
     if not lines or not lines[0].strip():
         raise FormatError(path, 1, "missing '<count> <dimension>' header")
     header = lines[0].split()
     if len(header) != 2 or not all(part.isdigit() for part in header):
         raise FormatError(path, 1, "header must be '<count> <dimension>'")
-    dimension = int(header[1])
+    count, dimension = int(header[0]), int(header[1])
     if dimension < 1:
         raise FormatError(path, 1, "dimension must be at least 1")
 
     vectors: dict[str, np.ndarray] = {}
+    vector_lines = 0
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        vector_lines += 1
         parts = line.split()
         word = parts[0].casefold()
         if len(parts) - 1 != dimension:
@@ -108,6 +115,10 @@ def load_embeddings(path: Union[str, Path]) -> EmbeddingTable:
             log.warning("duplicate embedding for %r at line %d kept first", word, number)
             continue
         vectors[word] = values
+    if vector_lines != count:
+        raise FormatError(
+            path, 1, f"header says {count} vectors, the file has {vector_lines} vector lines"
+        )
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 

@@ -4,7 +4,9 @@ Each clue is tried with two candidate answers (its gold answer and the
 nearest pattern-fitting decoy from the embedding table), each for a
 number of samples, through the generate/verify/rewrite loop.  Every run
 becomes one SolveRecord whose ``rewrites`` is the number of rewrites a
-successful proof needed (0..5) or ``"FAIL"``.
+successful proof needed (0..5) or ``"FAIL"``.  A clue's runs share one
+verdict memo, so a reply any of them already had verified is not
+verified again; verdicts are never shared between clues.
 
 Records aggregate per candidate three ways: number of completed proofs
 (higher is better), fewest rewrites of any solve (lower is better, 6
@@ -42,6 +44,7 @@ from cryptic_prover.formalize import (
     MAX_GENERATOR_CALLS,
     ProofRequest,
     Rewrites,
+    Verdicts,
     check_rewrites,
     prove_with_rewrites,
     save_transcript,
@@ -68,9 +71,12 @@ class MissingCandidate(LookupError):
     """classify() needs records for both the gold answer and the decoy."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveRecord:
-    """One (clue, candidate, sample) trip through the rewrite loop."""
+    """One (clue, candidate, sample) trip through the rewrite loop.
+
+    Slotted, because a run returns, and a resume reads, every record.
+    """
 
     clue_id: str
     candidate: str
@@ -412,7 +418,9 @@ def run_experiment(
     filled = {(r.clue_id, r.is_ground_truth, r.sample_index) for r in existing}
     wordlist = tuple(wordlist)
 
-    def solve(clue: Clue, candidate: str, is_truth: bool, sample: int) -> SolveRecord:
+    def solve(
+        clue: Clue, candidate: str, is_truth: bool, sample: int, verdicts: Verdicts
+    ) -> SolveRecord:
         def record(rewrites: Rewrites, reason: str = "") -> SolveRecord:
             return SolveRecord(clue.clue_id, candidate, is_truth, sample, rewrites, reason)
 
@@ -428,7 +436,7 @@ def run_experiment(
         except (LookupError, ValueError) as error:
             return record(FAIL, f"{type(error).__name__}: {error}")
         transcript = prove_with_rewrites(
-            request, generator, lexicon, max_calls=max_generator_calls
+            request, generator, lexicon, max_calls=max_generator_calls, verdicts=verdicts
         )
         if transcripts_dir is not None:
             name = f"{_slug(clue.clue_id)}__{candidate or 'none'}__s{sample}.jsonl"
@@ -452,14 +460,16 @@ def run_experiment(
             except EmptyCandidateSet as error:
                 decoy_error = f"decoy generation failed: {error}"
                 log.warning("clue %s: %s", clue.clue_id, decoy_error)
+        # One verdict memo per clue, used only by the thread solving it.
+        verdicts: Verdicts = {}
         batch = []
         for is_truth, sample in empty:
             if is_truth:
-                batch.append(solve(clue, gold, True, sample))
+                batch.append(solve(clue, gold, True, sample, verdicts))
             elif decoy_error:
                 batch.append(SolveRecord(clue.clue_id, "", False, sample, FAIL, decoy_error))
             else:
-                batch.append(solve(clue, decoy, False, sample))
+                batch.append(solve(clue, decoy, False, sample, verdicts))
         return batch
 
     records = list(existing)

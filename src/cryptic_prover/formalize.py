@@ -26,8 +26,9 @@ rewrite instruction.
 
 Three generators ship with the package: ``CompilerBackedMock`` (reads
 the request back out of the prompt with the verifier's proof parser and
-compiles it; optionally spoils its first few answers, which exercises
-the loop), ``ScriptedReplayMock`` (plays back canned responses, e.g.
+compiles it, once per distinct request while that reply stays in its
+memo; optionally spoils its first few answers, which exercises the
+loop), ``ScriptedReplayMock`` (plays back canned responses, e.g.
 from a saved transcript), and ``HttpChatGenerator`` (a chat-completion
 HTTP client, enabled only when its API key environment variable is
 set).
@@ -38,11 +39,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import MutableMapping, Optional, Sequence, Union
 
 from cryptic_prover import dataset, lexfiles, notation
 from cryptic_prover.core import (
@@ -83,6 +84,7 @@ from cryptic_prover.verifier import (
     parse_proof,
     render_failure_report,
     render_proof,
+    render_statement,
     verify_text,
 )
 
@@ -101,6 +103,9 @@ _COUNT_WORDS = "zero one two three four five six seven eight nine ten".split()
 
 # Rewrites a proof needed, 0..MAX_GENERATOR_CALLS - 1, or FAIL.
 Rewrites = Union[int, str]
+
+# Reply text -> (outcome, failure report, empty when proved).
+Verdicts = MutableMapping[str, tuple[VerificationOutcome, str]]
 
 
 def check_rewrites(value: Rewrites) -> None:
@@ -294,10 +299,24 @@ def _emit(resolved: Resolved, leaves: list[Statement], actions: list[Statement])
 # -- prompt assembly -------------------------------------------------------------
 
 
+# The static sections, in prompt order, ahead of the request block.
+_PROMPT_SECTIONS = (
+    "preamble.txt",
+    "wordplay_examples.txt",
+    "functions.txt",
+    "fewshot.txt",
+    "instruction.txt",
+)
+
+
 @lru_cache(maxsize=None)
-def _prompt_section(name: str) -> str:
-    path = lexfiles.seed_path(f"prompts/{name}")
-    return path.read_text(encoding="utf-8").rstrip("\n")
+def _prompt_prefix() -> str:
+    """The static sections joined once, each followed by a blank line."""
+    sections = (
+        lexfiles.seed_path(f"prompts/{name}").read_text(encoding="utf-8").rstrip("\n")
+        for name in _PROMPT_SECTIONS
+    )
+    return "".join(section + "\n\n" for section in sections)
 
 
 def request_block(request: ProofRequest) -> str:
@@ -317,20 +336,18 @@ def build_prompt(
     failure_report: Optional[str] = None,
     previous_script: Optional[str] = None,
 ) -> str:
-    """Assemble the generator prompt; fixed section order, data-file text."""
-    sections = [
-        _prompt_section("preamble.txt"),
-        _prompt_section("wordplay_examples.txt"),
-        _prompt_section("functions.txt"),
-        _prompt_section("fewshot.txt"),
-        _prompt_section("instruction.txt"),
-        request_block(request),
-    ]
+    """Assemble the generator prompt; fixed section order, data-file text.
+
+    The static prefix is the same for every prompt; the request block
+    and, on a rewrite, the previous script and the failure report follow
+    it, separated by blank lines.
+    """
+    tail = [request_block(request)]
     if failure_report:
         if previous_script:
-            sections.append(previous_script.rstrip("\n"))
-        sections.append(failure_report.rstrip("\n"))
-    return "\n\n".join(sections) + "\n"
+            tail.append(previous_script.rstrip("\n"))
+        tail.append(failure_report.rstrip("\n"))
+    return _prompt_prefix() + "\n\n".join(tail) + "\n"
 
 
 # -- the rewrite loop ------------------------------------------------------------
@@ -341,20 +358,25 @@ def prove_with_rewrites(
     generator,
     lexicon: Lexicon,
     max_calls: int = MAX_GENERATOR_CALLS,
+    *,
+    verdicts: Optional[Verdicts] = None,
 ) -> GeneratorTranscript:
     """Draft, verify, and rewrite until proved or out of attempts.
 
     ``max_calls`` may be lowered (a tighter rewrite cap) but never
-    raised past the published budget of six.  A reply the generator
-    already sent in this request is not verified again: its outcome and
-    failure report are reused, which is exact because verification is a
-    pure function of the script and the lexicon.
+    raised past the published budget of six.  A reply already in
+    ``verdicts`` is not verified again: its outcome and failure report
+    are reused, which is exact because verification is a pure function
+    of the script and the lexicon.  Each new verdict is added to it.
+    ``None`` gives this request a memo of its own; a caller that passes
+    one mapping to several requests (``run_experiment`` passes one per
+    clue) must verify all of them against the same ``lexicon``.
     """
     if not 1 <= max_calls <= MAX_GENERATOR_CALLS:
         raise ValueError(f"max_calls must be 1..{MAX_GENERATOR_CALLS}, got {max_calls}")
     attempts: list[Attempt] = []
-    # Reply text -> (outcome, failure report, empty when proved).
-    verdicts: dict[str, tuple[VerificationOutcome, str]] = {}
+    if verdicts is None:
+        verdicts = {}
     report: Optional[str] = None
     previous: Optional[str] = None
     for index in range(max_calls):
@@ -403,6 +425,45 @@ def load_transcript_responses(path: Union[str, Path]) -> list[str]:
 # -- generators ------------------------------------------------------------------
 
 
+# Distinct requests the mock remembers.  A clue's solves ask two (its
+# gold answer and its decoy), so this holds many clues' worth per worker.
+_MOCK_MEMO_SIZE = 256
+
+# What spoiling appends to a compiled reply: one false equality, rendered
+# as render_proof renders a final statement.
+_SPOILER = f"assert {render_statement(AssertEquality(StringLit('QQ'), StringLit('ZZ')))}\n"
+
+
+@lru_cache(maxsize=_MOCK_MEMO_SIZE)
+def _mock_reply(asked_text: str, lexicon: Optional[Lexicon]) -> tuple[str, bool]:
+    """The mock's unspoiled reply to a request, and whether it compiled.
+
+    ``asked_text`` is the request's header with its ``definition:`` and
+    ``wordplay:`` lines; the reply is a pure function of it and the
+    lexicon, so each distinct request is parsed, compiled and rendered
+    once while it stays in the memo.
+    """
+    try:
+        asked = parse_proof(asked_text)
+        request = ProofRequest(
+            clue=Clue(surface=asked.clue, pattern=asked.pattern),
+            candidate_answer=asked.answer,
+            definition=asked.definition or asked.clue,
+            wordplay=asked.wordplay,
+        )
+        node = notation.parse_wordplay(asked.wordplay, lexicon)
+        script = compile_wordplay(node, request)
+    except ValueError as error:
+        # Nothing compilable: answer with an honest stub that the
+        # verifier will reject, mirroring a lost generator.
+        stub = (
+            f'proof answer="X" clue="unparseable request" pattern="1"\n'
+            f"# {type(error).__name__}\n"
+        )
+        return stub, False
+    return render_proof(script), True
+
+
 class CompilerBackedMock:
     """Answers prompts by recompiling the request they contain.
 
@@ -410,11 +471,15 @@ class CompilerBackedMock:
     starting with ``proof`` in the prompt, with the ``definition:`` and
     ``wordplay:`` lines below it; ``verifier.parse_proof`` reads the
     three, so the verifier's grammar is the only reading of a header.
-    ``fail_first`` spoils that many responses with a false equality,
-    which makes the rewrite loop take measurable laps before
-    succeeding.  The wordplay is parsed with ``lexicon`` (``None`` means
-    ``seed_lexicon()``), which should be the lexicon the replies are
-    verified against.
+    The reply is a pure function of those lines and the lexicon, so a
+    bounded, thread-safe memo shared by every mock keeps the rendered
+    reply of each recent distinct request, and a repeated request is
+    not parsed or compiled again.  ``fail_first`` spoils that many
+    responses with a false equality, which makes the rewrite loop take
+    measurable laps before succeeding; calls are counted and spoiled
+    whether or not the memo held the reply.  The wordplay is parsed with
+    ``lexicon`` (``None`` means ``seed_lexicon()``), which should be the
+    lexicon the replies are verified against.
     """
 
     def __init__(self, fail_first: int = 0, lexicon: Optional[Lexicon] = None):
@@ -435,29 +500,8 @@ class CompilerBackedMock:
         fields = [
             line for line in below if line.lstrip().startswith(("definition:", "wordplay:"))
         ]
-        try:
-            asked = parse_proof("\n".join([header, *fields]))
-            request = ProofRequest(
-                clue=Clue(surface=asked.clue, pattern=asked.pattern),
-                candidate_answer=asked.answer,
-                definition=asked.definition or asked.clue,
-                wordplay=asked.wordplay,
-            )
-            node = notation.parse_wordplay(asked.wordplay, self.lexicon)
-            script = compile_wordplay(node, request)
-        except ValueError as error:
-            # Nothing compilable: answer with an honest stub that the
-            # verifier will reject, mirroring a lost generator.
-            return (
-                f'proof answer="X" clue="unparseable request" pattern="1"\n'
-                f"# {type(error).__name__}\n"
-            )
-        if spoil:
-            spoiled = script.statements + (
-                AssertEquality(StringLit("QQ"), StringLit("ZZ")),
-            )
-            script = replace(script, statements=spoiled)
-        return render_proof(script)
+        reply, compiled = _mock_reply("\n".join([header, *fields]), self.lexicon)
+        return reply + _SPOILER if spoil and compiled else reply
 
 
 class ScriptedReplayMock:

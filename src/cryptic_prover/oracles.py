@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from os import PathLike
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -112,10 +113,13 @@ class Lexicon:
         *,
         abbreviations: Union[str, Path, None] = None,
         thesaurus: Union[str, Path, None] = None,
-        indicators: Optional[Sequence[Union[str, Path]]] = None,
+        indicators: Union[str, PathLike, Sequence[Union[str, PathLike]], None] = None,
         homophones: Union[str, Path, None] = None,
         wordlist: Union[str, Path, None] = None,
     ) -> "Lexicon":
+        """Load each table from its file; ``indicators`` is one path or a list."""
+        if isinstance(indicators, (str, PathLike)):
+            indicators = [indicators]
         indicator_table = lexfiles.load_indicators(indicators) if indicators else {}
         return cls(
             abbreviations=lexfiles.load_abbreviations(abbreviations) if abbreviations else None,

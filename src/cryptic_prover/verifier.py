@@ -35,8 +35,9 @@ line opens a Markdown code fence (```` ```python ````) and its last
 non-blank line closes it, both fence lines are read as blank lines, so
 a fenced proof is checked as its body and error line numbers still
 count from the top of the reply.  Verification is a pure function of
-the script and the lexicon, so ``formalize.prove_with_rewrites`` checks
-a reply the generator repeats within one request only once.
+the script and the lexicon, so the experiment checks a reply the
+generator repeats within one clue only once (``verdicts`` in
+``formalize.prove_with_rewrites``).
 
 Verification never raises on a well-formed proof: every false
 assertion becomes a failure entry carrying a near-miss hint, and the

@@ -76,6 +76,19 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="line 1"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "text, found",
+        [("5 2\nape 1 0\n", 1), ("1 2\nape 1 0\nape 0 1\n", 2), ("2 2\n\n", 0)],
+        ids=["truncated", "duplicates-count", "empty"],
+    )
+    def test_header_count_must_match_the_vector_lines(self, tmp_path, text, found):
+        count = text.split()[0]
+        path = write_table(tmp_path, text)
+        with pytest.raises(FormatError, match=f"header says {count} vectors, the file has "
+                           f"{found} vector lines") as info:
+            load_embeddings(path)
+        assert info.value.line == 1
+
     def test_non_numeric_value_is_a_format_error(self, tmp_path):
         path = write_table(tmp_path, "1 2\nape one 0\n")
         with pytest.raises(FormatError, match="'ape'") as info:

@@ -321,6 +321,8 @@ class TestUnreadableInputFiles:
             ("wordlist", b"ape\n\xff\n", 2, "not UTF-8: byte 0xff", ["parse", "X (y)"]),
             ("embeddings", b"2 16\nfoo 1 2\n", 2, "expected 16 values for 'foo', got 2",
              ["candidates", "--span", "guard", "--pattern", "6"]),
+            ("embeddings", b"5 2\nape 1 0\n", 1, "header says 5 vectors, the file has 1",
+             ["candidates", "--span", "guard", "--pattern", "6"]),
         ],
     )
     def test_configured_file(self, tmp_path, capsys, key, content, line, problem, argv):

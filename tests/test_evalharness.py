@@ -1,12 +1,13 @@
 """Scoring, classification, tabulation, and the desk-scale experiment."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptic_prover import dataset, evalharness, lexfiles
+from cryptic_prover import dataset, evalharness, formalize, lexfiles
 from cryptic_prover.candidates import load_embeddings
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.evalharness import (
@@ -624,6 +625,44 @@ class TestRunExperiment:
             transcripts_dir=outdir,
         )
         assert len(list(outdir.glob("*.jsonl"))) == 8
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        """The replies verify_text checked and the outcomes reported, in order."""
+        verified, reported = [], []
+        verify_text, render_failure_report = formalize.verify_text, formalize.render_failure_report
+
+        def counting_verify(script, lex):
+            verified.append(script)
+            return verify_text(script, lex)
+
+        def counting_report(outcome):
+            reported.append(outcome)
+            return render_failure_report(outcome)
+
+        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        monkeypatch.setattr(formalize, "render_failure_report", counting_report)
+        return verified, reported
+
+    def test_a_clue_verifies_each_distinct_reply_once(
+        self, verifications, worked_clues, lexicon, table, wordlist
+    ):
+        verified, reported = verifications
+        records = self.run(worked_clues, lexicon, table, wordlist, samples_per_candidate=5)
+        assert len(records) == 100
+        # Each clue's gold reply proves and its decoy reply fails, five
+        # samples each: one verification per reply and one report per decoy.
+        assert len(verified) == len(set(verified)) == 20
+        assert len(reported) == 10
+
+    def test_verdicts_are_not_shared_between_clues(
+        self, verifications, eight_clues, lexicon, table, wordlist
+    ):
+        verified, _ = verifications
+        twin = replace(eight_clues[0], clue_id=eight_clues[0].clue_id + "-twin")
+        self.run([eight_clues[0], twin], lexicon, table, wordlist, samples_per_candidate=3)
+        assert len(verified) == 4
+        assert len(set(verified)) == 2
 
     def test_worker_pool_matches_the_serial_run(
         self, eight_clues, lexicon, table, wordlist

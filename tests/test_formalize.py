@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,10 +29,12 @@ from cryptic_prover.formalize import (
     request_block,
     save_transcript,
 )
-from cryptic_prover.oracles import seed_lexicon
+from cryptic_prover.oracles import Lexicon, seed_lexicon
 from cryptic_prover.verifier import (
+    AssertEquality,
     ProofStatus,
     Severity,
+    StringLit,
     parse_proof,
     render_failure_report,
     render_proof,
@@ -279,6 +282,30 @@ class TestPrompts:
     def test_prompts_are_byte_stable(self):
         assert build_prompt(request_for(CAMERA)) == build_prompt(request_for(CAMERA))
 
+    def test_prompts_equal_the_section_by_section_join(self, lexicon):
+        def joined(request, failure_report=None, previous_script=None):
+            names = ["preamble", "wordplay_examples", "functions", "fewshot", "instruction"]
+            sections = [
+                lexfiles.seed_path(f"prompts/{name}.txt").read_text(encoding="utf-8").rstrip("\n")
+                for name in names
+            ]
+            sections.append(request_block(request))
+            if failure_report:
+                if previous_script:
+                    sections.append(previous_script.rstrip("\n"))
+                sections.append(failure_report.rstrip("\n"))
+            return "\n\n".join(sections) + "\n"
+
+        prompts = 0
+        for clue in worked_clues():
+            request = request_for(clue)
+            spoiled = render_proof(compile_clue(clue)) + "assert 'QQ' == 'ZZ'\n"
+            report = render_failure_report(verify_text(spoiled, lexicon))
+            assert build_prompt(request) == joined(request)
+            assert build_prompt(request, report, spoiled) == joined(request, report, spoiled)
+            prompts += 2
+        assert prompts == 20
+
 
 # -- the rewrite loop --------------------------------------------------------
 
@@ -370,6 +397,26 @@ class TestRewriteLoop:
         ]
         assert [attempt.prompt for attempt in transcript.attempts] == prompts[:-1]
 
+    def test_a_shared_verdict_memo_verifies_a_repeated_reply_once(
+        self, lexicon, monkeypatch
+    ):
+        verified = []
+
+        def counting_verify(script, lex):
+            verified.append(script)
+            return verify_text(script, lex)
+
+        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        verdicts = {}
+        request = request_for(CAMERA)
+        first = prove_with_rewrites(request, CompilerBackedMock(), lexicon, verdicts=verdicts)
+        again = prove_with_rewrites(request, CompilerBackedMock(), lexicon, verdicts=verdicts)
+        alone = prove_with_rewrites(request, CompilerBackedMock(), lexicon)
+        reply = render_proof(compile_clue(CAMERA))
+        assert verified == [reply, reply]
+        assert list(verdicts) == [reply]
+        assert first == again == alone
+
     def test_mock_spoils_exactly_fail_first_replies_across_threads(self):
         generator = CompilerBackedMock(fail_first=40)
         prompt = build_prompt(request_for(CAMERA))
@@ -408,6 +455,90 @@ class TestRewriteLoop:
         reply = CompilerBackedMock().generate(build_prompt(request_for(clue)))
         assert parse_proof(reply).clue == clue.surface
         assert reply == render_proof(compile_clue(clue))
+
+
+def fresh_seed_lexicon() -> Lexicon:
+    """The packaged tables in a new Lexicon, which no memo has seen yet."""
+    return Lexicon.from_files(**lexfiles.seed_lexicon_files())
+
+
+def mock_prompts(lexicon):
+    """Draft and rewrite prompts for every worked clue, then malformed ones."""
+    prompts = []
+    for clue in worked_clues():
+        spoiled = render_proof(compile_clue(clue)) + "assert 'QQ' == 'ZZ'\n"
+        report = render_failure_report(verify_text(spoiled, lexicon))
+        prompts.append(build_prompt(request_for(clue)))
+        prompts.append(build_prompt(request_for(clue), report, spoiled))
+    unparseable = request_for(CAMERA)
+    prompts.append("no request here at all")
+    prompts.append(build_prompt(replace(unparseable, wordplay="CAME (arrived")))
+    return prompts
+
+
+def unmemoised_reply(prompt: str, lexicon, spoil: bool) -> str:
+    """The mock's reply as it was before the request memo: every call reads,
+    compiles and renders its request afresh."""
+    header, *below = prompt[prompt.rfind("\nproof") + 1 :].split("\n")
+    fields = [
+        line for line in below if line.lstrip().startswith(("definition:", "wordplay:"))
+    ]
+    try:
+        asked = parse_proof("\n".join([header, *fields]))
+        request = ProofRequest(
+            clue=Clue(surface=asked.clue, pattern=asked.pattern),
+            candidate_answer=asked.answer,
+            definition=asked.definition or asked.clue,
+            wordplay=asked.wordplay,
+        )
+        script = compile_wordplay(notation.parse_wordplay(asked.wordplay, lexicon), request)
+    except ValueError as error:
+        return (
+            f'proof answer="X" clue="unparseable request" pattern="1"\n'
+            f"# {type(error).__name__}\n"
+        )
+    if spoil:
+        spoiler = AssertEquality(StringLit("QQ"), StringLit("ZZ"))
+        script = replace(script, statements=script.statements + (spoiler,))
+    return render_proof(script)
+
+
+class TestMockMemo:
+    def test_each_distinct_request_is_parsed_and_compiled_once(self, monkeypatch):
+        lexicon = fresh_seed_lexicon()
+        prompts = mock_prompts(lexicon)
+        parsed, compiled = [], []
+        parse_wordplay, compile_ = notation.parse_wordplay, formalize.compile_wordplay
+
+        def counting_parse(text, lex=None):
+            parsed.append(text)
+            return parse_wordplay(text, lex)
+
+        def counting_compile(node, request):
+            compiled.append(request)
+            return compile_(node, request)
+
+        monkeypatch.setattr(notation, "parse_wordplay", counting_parse)
+        monkeypatch.setattr(formalize, "compile_wordplay", counting_compile)
+        first, second = CompilerBackedMock(lexicon=lexicon), CompilerBackedMock(lexicon=lexicon)
+        replies = [mock.generate(prompt) for mock in (first, second, first) for prompt in prompts]
+
+        # A clue's draft and rewrite prompts carry one request; the unparseable
+        # wordplay is parsed once, and "no request" never reaches the parser.
+        assert len(parsed) == len(worked_clues()) + 1
+        assert len(compiled) == len(worked_clues())
+        assert replies == [unmemoised_reply(p, lexicon, False) for p in prompts] * 3
+        assert first.calls == 2 * len(prompts) and second.calls == len(prompts)
+
+    @pytest.mark.parametrize("fail_first", [0, 3, 25, 100])
+    def test_replies_match_the_unmemoised_mock_call_for_call(self, fail_first):
+        lexicon = fresh_seed_lexicon()
+        prompts = mock_prompts(lexicon) * 3
+        mock = CompilerBackedMock(fail_first=fail_first, lexicon=lexicon)
+        for call, prompt in enumerate(prompts):
+            expected = unmemoised_reply(prompt, lexicon, call < fail_first)
+            assert mock.generate(prompt) == expected, f"call {call}"
+        assert mock.calls == len(prompts)
 
 
 class TestTranscript:

@@ -52,6 +52,21 @@ def test_fixture_experiment_matches_the_golden_outputs(tmp_path, monkeypatch):
     assert first_difference(tmp_path) is None
 
 
+def test_four_workers_reproduce_the_golden_outputs(tmp_path, monkeypatch):
+    # Clues run on four threads that share the mock and its request memo.
+    for name in [name for name in os.environ if name.startswith("CRYPTIC_PROVER_")]:
+        monkeypatch.delenv(name)
+    code = main([
+        "--output-dir", str(tmp_path),
+        "experiment",
+        "--clues", str(lexfiles.seed_path("fixtures/worked_examples.yaml")),
+        "--transcripts", "tr",
+        "--workers", "4",
+    ])
+    assert code == 0
+    assert first_difference(tmp_path) is None
+
+
 def test_first_difference_names_a_missing_transcript(tmp_path):
     (tmp_path / "tr").mkdir()
     (tmp_path / "results.jsonl").write_bytes((GOLDEN / "results.jsonl").read_bytes())

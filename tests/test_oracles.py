@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,15 @@ class TestVerdictAndLexicon:
         assert lexicon.action_type("stirred", ActionKind.ANAGRAM).ok
         assert lexicon.is_homophone("two", "TOO").ok
         assert lexicon.wordlist == ("ZIP",)
+
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    def test_one_indicators_path_reads_as_a_one_file_list(self, as_path):
+        path = lexfiles.seed_path("lexicon/indicators.tsv")
+        single = Lexicon.from_files(indicators=as_path(path))
+        listed = Lexicon.from_files(indicators=[path])
+        for phrase in ("shredded", "returned", "heard", "unknown phrase"):
+            assert single.actions(phrase) == listed.actions(phrase)
+        assert listed.actions("shredded")
 
 
     def test_lexicon_lines_end_at_newline_only(self, tmp_path):
