@@ -392,13 +392,25 @@ def run_experiment(
     decoy slot, so a changed word list or table can give a resumed
     clue's decoy slots different candidates.  Ordering is deterministic
     for a deterministic generator; leave ``max_workers`` at 1 when
-    byte-stable results files matter.
+    byte-stable results files matter.  With ``transcripts_dir``, clue ids
+    that differ only in their non-alphanumeric characters would share
+    transcript file names, so such a pair is a ValueError before any solve.
     """
     if samples_per_candidate < 1:
         raise ValueError("samples_per_candidate must be at least 1")
     ids = [clue.clue_id for clue in clues]
     if len(set(ids)) != len(ids) or "" in ids:
         raise ValueError("every clue needs a unique non-empty clue_id")
+    if transcripts_dir is not None:
+        # A clue's transcript names start with its id's slug; two ids with
+        # one slug would overwrite each other's files.
+        slugs: dict[str, str] = {}
+        for clue_id in ids:
+            other = slugs.setdefault(_slug(clue_id), clue_id)
+            if other != clue_id:
+                raise ValueError(
+                    f"clue ids {other!r} and {clue_id!r} give the same transcript file names"
+                )
     for clue in clues:
         if not clue.gold_answer:
             raise ValueError(f"clue {clue.clue_id!r} has no gold answer")
@@ -415,6 +427,7 @@ def run_experiment(
             path.write_text("", encoding="utf-8")
     if transcripts_dir is not None:
         Path(transcripts_dir).mkdir(parents=True, exist_ok=True)
+        transcript_stem = os.path.join(transcripts_dir, "")
     filled = {(r.clue_id, r.is_ground_truth, r.sample_index) for r in existing}
     wordlist = tuple(wordlist)
 
@@ -440,7 +453,7 @@ def run_experiment(
         )
         if transcripts_dir is not None:
             name = f"{_slug(clue.clue_id)}__{candidate or 'none'}__s{sample}.jsonl"
-            save_transcript(transcript, Path(transcripts_dir) / name)
+            save_transcript(transcript, transcript_stem + name)
         return record(transcript.rewrites_used, transcript.failure_reason)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:

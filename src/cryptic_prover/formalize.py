@@ -20,9 +20,15 @@ Prompts are assembled from data files in a fixed order: rubric
 preamble, annotated wordplay examples, the declarations of the checking
 functions, worked formalisation examples, the completion instruction,
 and finally the request itself (a proof header with its definition and
-wordplay lines, to be completed).  A rewrite prompt appends the
-previous script and the failure report, which itself ends with the
-rewrite instruction.
+wordplay lines, to be completed, rendered once per request).  A rewrite
+prompt appends the previous script and the failure report, which itself
+ends with the rewrite instruction.
+
+``save_transcript`` writes one line per attempt, byte for byte the
+``json.dumps(record, ensure_ascii=False, sort_keys=True)`` of its
+prompt, response, status and failure report.  The static prompt
+prefix is escaped once per process, not once per attempt; each line
+escapes only its prompt's tail, its response and its report.
 
 Three generators ship with the package: ``CompilerBackedMock`` (reads
 the request back out of the prompt with the verifier's proof parser and
@@ -40,7 +46,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import MutableMapping, Optional, Sequence, Union
@@ -136,6 +142,22 @@ class ProofRequest:
                 f"candidate {self.candidate_answer!r} does not fit "
                 f"pattern {self.clue.pattern.render()!r}"
             )
+
+    @cached_property
+    def block(self) -> str:
+        """The proof stub the generator is asked to complete.
+
+        Rendered on first use and kept, so all of a request's prompts
+        share one rendering.
+        """
+        header = ProofScript(
+            answer=self.candidate_answer,
+            clue=self.clue.surface,
+            pattern=self.clue.pattern,
+            definition=self.definition,
+            wordplay=self.wordplay,
+        )
+        return render_proof(header).rstrip("\n")
 
 
 @dataclass(frozen=True)
@@ -319,18 +341,6 @@ def _prompt_prefix() -> str:
     return "".join(section + "\n\n" for section in sections)
 
 
-def request_block(request: ProofRequest) -> str:
-    """The proof stub the generator is asked to complete."""
-    header = ProofScript(
-        answer=request.candidate_answer,
-        clue=request.clue.surface,
-        pattern=request.clue.pattern,
-        definition=request.definition,
-        wordplay=request.wordplay,
-    )
-    return render_proof(header).rstrip("\n")
-
-
 def build_prompt(
     request: ProofRequest,
     failure_report: Optional[str] = None,
@@ -342,7 +352,7 @@ def build_prompt(
     and, on a rewrite, the previous script and the failure report follow
     it, separated by blank lines.
     """
-    tail = [request_block(request)]
+    tail = [request.block]
     if failure_report:
         if previous_script:
             tail.append(previous_script.rstrip("\n"))
@@ -403,18 +413,49 @@ def prove_with_rewrites(
     return GeneratorTranscript(tuple(attempts), FAIL)
 
 
+# json.dumps(text, ensure_ascii=False) for a str is exactly this call.
+_json_string = json.encoder.encode_basestring
+
+
+@lru_cache(maxsize=None)
+def _escaped_prefix() -> str:
+    """The static prompt prefix as a JSON string, without its closing quote."""
+    return _json_string(_prompt_prefix())[:-1]
+
+
+def _json_text(text: str) -> str:
+    """``json.dumps(text, ensure_ascii=False)``, escaping the prompt prefix once.
+
+    JSON escapes one code point at a time, so a text that starts with
+    the prefix encodes as the prefix's escaped form followed by its
+    tail's, without the quotes where they meet.
+    """
+    prefix = _prompt_prefix()
+    if text.startswith(prefix):
+        return _escaped_prefix() + _json_string(text[len(prefix) :])[1:]
+    return _json_string(text)
+
+
 def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> None:
-    """One JSON line per attempt: prompt, response, status, failure report."""
-    lines = []
-    for attempt in transcript.attempts:
-        record = {
-            "prompt": attempt.prompt,
-            "response": attempt.response,
-            "status": attempt.outcome.status.name,
-            "failure_report": attempt.failure_report,
-        }
-        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One JSON line per attempt: prompt, response, status, failure report.
+
+    Each line is ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+    of the attempt's four fields, written from the fields' escaped texts
+    with the prompt prefix escaped once per process, not once per
+    attempt.  The file is encoded once and written in one call.  A lone
+    surrogate (which ``json.loads`` makes of a ``\\ud800`` escape in a
+    reply) cannot be UTF-8, so it is written as that JSON escape again.
+    """
+    lines = [
+        f'{{"failure_report": {_json_text(attempt.failure_report)}, '
+        f'"prompt": {_json_text(attempt.prompt)}, '
+        f'"response": {_json_text(attempt.response)}, '
+        f'"status": {_json_text(attempt.outcome.status.name)}}}'
+        for attempt in transcript.attempts
+    ]
+    data = ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_transcript_responses(path: Union[str, Path]) -> list[str]:

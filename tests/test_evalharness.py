@@ -31,7 +31,7 @@ from cryptic_prover.evalharness import (
     score_mean,
     tabulate,
 )
-from cryptic_prover.formalize import CompilerBackedMock
+from cryptic_prover.formalize import MAX_GENERATOR_CALLS, CompilerBackedMock
 from cryptic_prover.oracles import seed_lexicon
 
 rewrites_values = st.one_of(st.integers(0, 5), st.just(FAIL))
@@ -625,6 +625,68 @@ class TestRunExperiment:
             transcripts_dir=outdir,
         )
         assert len(list(outdir.glob("*.jsonl"))) == 8
+
+    def test_a_reply_holding_a_lone_surrogate_is_saved_and_replays(
+        self, tmp_path, eight_clues, lexicon, table, wordlist
+    ):
+        # json.loads makes a lone surrogate of a "\\ud800" escape in a reply.
+        reply = "assert x\n# \ud800\n"
+
+        class SurrogateReplies:
+            def generate(self, prompt):
+                return reply
+
+        outdir = tmp_path / "transcripts"
+        results = tmp_path / "results.jsonl"
+        records = self.run(
+            eight_clues[:2],
+            lexicon,
+            table,
+            wordlist,
+            generator=SurrogateReplies(),
+            samples_per_candidate=1,
+            results_path=results,
+            transcripts_dir=outdir,
+        )
+        assert load_records(results) == records
+        assert len(records) == 4
+        clues = {clue.clue_id: clue for clue in eight_clues}
+        for record in records:
+            name = f"{evalharness._slug(record.clue_id)}__{record.candidate}__s0.jsonl"
+            path = outdir / name
+            responses = formalize.load_transcript_responses(path)
+            assert responses == [reply] * MAX_GENERATOR_CALLS
+            replay = formalize.ScriptedReplayMock.from_transcript(path)
+            definition, wordplay = GoldAnnotationSource().annotate(
+                clues[record.clue_id], record.candidate, 0
+            )
+            request = formalize.ProofRequest(
+                clues[record.clue_id], record.candidate, definition, wordplay
+            )
+            again = formalize.prove_with_rewrites(request, replay, lexicon)
+            assert again.rewrites_used == record.rewrites
+
+    def test_clue_ids_sharing_transcript_names_are_refused_before_any_solve(
+        self, tmp_path, eight_clues, lexicon, table, wordlist
+    ):
+        dotted = replace(eight_clues[0], clue_id="p.q#0")
+        dashed = replace(eight_clues[0], clue_id="p-q#0")
+        generator = CompilerBackedMock()
+        with pytest.raises(ValueError, match="'p.q#0' and 'p-q#0'"):
+            self.run(
+                [dotted, dashed],
+                lexicon,
+                table,
+                wordlist,
+                generator=generator,
+                results_path=tmp_path / "results.jsonl",
+                transcripts_dir=tmp_path / "transcripts",
+            )
+        assert generator.calls == 0
+        assert not (tmp_path / "results.jsonl").exists()
+        # Without transcripts nothing is written under the ids' slugs.
+        records = self.run([dotted, dashed], lexicon, table, wordlist, samples_per_candidate=1)
+        assert len(records) == 4
 
     @pytest.fixture
     def verifications(self, monkeypatch):

@@ -8,6 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import requests
 
@@ -26,15 +28,16 @@ from cryptic_prover.formalize import (
     build_prompt,
     compile_wordplay,
     prove_with_rewrites,
-    request_block,
     save_transcript,
 )
 from cryptic_prover.oracles import Lexicon, seed_lexicon
 from cryptic_prover.verifier import (
     AssertEquality,
+    ProofScript,
     ProofStatus,
     Severity,
     StringLit,
+    VerificationOutcome,
     parse_proof,
     render_failure_report,
     render_proof,
@@ -245,10 +248,10 @@ class TestPrompts:
         ]
         positions = [prompt.index(section) for section in sections]
         assert positions == sorted(positions)
-        assert prompt.rstrip("\n").endswith(request_block(request_for(CAMERA)))
+        assert prompt.rstrip("\n").endswith(request_for(CAMERA).block)
 
     def test_request_block_is_a_header_with_docstring_lines(self):
-        block = request_block(request_for(CAMERA))
+        block = request_for(CAMERA).block
         lines = block.splitlines()
         assert lines[0].startswith("proof answer='CAMERA' ")
         assert lines[1] == f"definition: {CAMERA.gold_definition}"
@@ -266,7 +269,7 @@ class TestPrompts:
             request_for(CAMERA), failure_report=report, previous_script=bad_script
         )
         assert prompt.endswith(
-            request_block(request_for(CAMERA))
+            request_for(CAMERA).block
             + "\n\n"
             + bad_script.rstrip("\n")
             + "\n\n"
@@ -289,7 +292,14 @@ class TestPrompts:
                 lexfiles.seed_path(f"prompts/{name}.txt").read_text(encoding="utf-8").rstrip("\n")
                 for name in names
             ]
-            sections.append(request_block(request))
+            header = ProofScript(
+                answer=request.candidate_answer,
+                clue=request.clue.surface,
+                pattern=request.clue.pattern,
+                definition=request.definition,
+                wordplay=request.wordplay,
+            )
+            sections.append(render_proof(header).rstrip("\n"))
             if failure_report:
                 if previous_script:
                     sections.append(previous_script.rstrip("\n"))
@@ -305,6 +315,25 @@ class TestPrompts:
             assert build_prompt(request, report, spoiled) == joined(request, report, spoiled)
             prompts += 2
         assert prompts == 20
+
+    def test_a_request_renders_its_block_once(self, lexicon, monkeypatch):
+        request = request_for(CAMERA)
+        report = render_failure_report(verify_text("garbage\n", lexicon))
+        # Each prompt as rendered from a fresh copy of the request.
+        expected = [build_prompt(replace(request))] + [
+            build_prompt(replace(request), report, "garbage\n")
+        ] * (MAX_GENERATOR_CALLS - 1)
+        rendered = []
+
+        def counting_render(script):
+            rendered.append(script)
+            return render_proof(script)
+
+        monkeypatch.setattr(formalize, "render_proof", counting_render)
+        replay = ScriptedReplayMock(["garbage\n"] * MAX_GENERATOR_CALLS)
+        transcript = prove_with_rewrites(request, replay, lexicon)
+        assert [attempt.prompt for attempt in transcript.attempts] == expected
+        assert len(rendered) == 1
 
 
 # -- the rewrite loop --------------------------------------------------------
@@ -623,6 +652,75 @@ class TestTranscript:
             save_transcript(transcript, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+# Text that JSON must escape, or that a careless writer might: quotes,
+# backslashes, control characters, U+2028 and non-ASCII.  Surrogates are
+# left out: UTF-8 cannot hold them, so json.dumps output is not the reference.
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\u2029\u00e9\U0001f600'),
+    ),
+    max_size=40,
+)
+
+
+def _prompt_texts():
+    prefix = formalize._prompt_prefix()
+    return st.one_of(
+        _TRICKY_TEXT,
+        st.just(prefix),
+        _TRICKY_TEXT.map(lambda tail: prefix + tail),
+        st.integers(0, len(prefix) - 1).map(lambda end: prefix[:end]),
+    )
+
+
+class TestTranscriptWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _prompt_texts(), _TRICKY_TEXT, st.sampled_from(ProofStatus), _TRICKY_TEXT
+            ),
+            max_size=MAX_GENERATOR_CALLS,
+        )
+    )
+    def test_lines_are_json_dumps_of_each_record(self, tmp_path_factory, fields):
+        attempts = tuple(
+            Attempt(prompt, response, VerificationOutcome(status), report)
+            for prompt, response, status, report in fields
+        )
+        transcript = GeneratorTranscript(attempts, "FAIL", failure_reason="generated")
+        path = tmp_path_factory.getbasetemp() / "writer.jsonl"
+        save_transcript(transcript, path)
+        expected = [
+            json.dumps(
+                {
+                    "prompt": attempt.prompt,
+                    "response": attempt.response,
+                    "status": attempt.outcome.status.name,
+                    "failure_report": attempt.failure_report,
+                },
+                ensure_ascii=False,
+                sort_keys=True,
+            )
+            for attempt in attempts
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        assert formalize.load_transcript_responses(path) == [a.response for a in attempts]
+
+    def test_a_lone_surrogate_is_written_as_its_json_escape(self, tmp_path, lexicon):
+        reply = "assert x\n# \ud800\n"
+        transcript = prove_with_rewrites(
+            request_for(CAMERA), ScriptedReplayMock([reply] * MAX_GENERATOR_CALLS), lexicon
+        )
+        path = tmp_path / "camera.jsonl"
+        save_transcript(transcript, path)
+        text = path.read_bytes().decode("utf-8")
+        assert "\ud800" not in text
+        assert '# \\ud800' in text
+        assert formalize.load_transcript_responses(path) == [reply] * MAX_GENERATOR_CALLS
 
 
 class TestHttpGenerator:
