@@ -32,6 +32,7 @@ from cryptic_prover.candidates import (
 )
 from cryptic_prover.core import Clue, Pattern, PatternError
 from cryptic_prover.evalharness import (
+    ClueSetError,
     FileAnnotationSource,
     GoldAnnotationSource,
     compare_records,
@@ -361,7 +362,7 @@ def cmd_formalize(config: CliConfig, args) -> int:
         request, config.make_generator(lexicon), lexicon, max_calls=config.rewrite_cap + 1
     )
     if args.transcript:
-        save_transcript(transcript, config.out_path(args.transcript))
+        save_transcript([(request, transcript)], config.out_path(args.transcript))
 
     final = transcript.attempts[-1].response if transcript.attempts else ""
     if args.json:
@@ -423,20 +424,23 @@ def cmd_experiment(config: CliConfig, args) -> int:
         config.out_path(args.transcripts) if args.transcripts else None
     )
     lexicon = config.lexicon()
-    records = run_experiment(
-        clues,
-        generator=config.make_generator(lexicon),
-        lexicon=lexicon,
-        table=load_embeddings(config.embeddings),
-        wordlist=lexfiles.load_wordlist(config.wordlist),
-        samples_per_candidate=config.samples,
-        annotations=annotations,
-        results_path=results_path,
-        transcripts_dir=transcripts_dir,
-        resume=args.resume,
-        max_workers=args.workers,
-        max_generator_calls=config.rewrite_cap + 1,
-    )
+    try:
+        records = run_experiment(
+            clues,
+            generator=config.make_generator(lexicon),
+            lexicon=lexicon,
+            table=load_embeddings(config.embeddings),
+            wordlist=lexfiles.load_wordlist(config.wordlist),
+            samples_per_candidate=config.samples,
+            annotations=annotations,
+            results_path=results_path,
+            transcripts_dir=transcripts_dir,
+            resume=args.resume,
+            max_workers=args.workers,
+            max_generator_calls=config.rewrite_cap + 1,
+        )
+    except ClueSetError as error:
+        raise dataset.SchemaError(f"{args.clues}: {error}") from None
     rows = tabulate(compare_records(records))
     if args.json:
         _emit_json(

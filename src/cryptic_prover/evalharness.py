@@ -71,6 +71,10 @@ class MissingCandidate(LookupError):
     """classify() needs records for both the gold answer and the decoy."""
 
 
+class ClueSetError(ValueError):
+    """Clues that cannot be run together; raised before any solve or write."""
+
+
 @dataclass(frozen=True, slots=True)
 class SolveRecord:
     """One (clue, candidate, sample) trip through the rewrite loop.
@@ -123,10 +127,14 @@ class QuestionComparison:
     outcome: Outcome
 
 
-def _rewrites_of(item) -> Rewrites:
-    value = item.rewrites if isinstance(item, SolveRecord) else item
-    check_rewrites(value)
-    return value
+def _rewrites_of(records) -> list[Rewrites]:
+    """The checked rewrites of SolveRecords or of bare values; never empty."""
+    values = [r.rewrites if isinstance(r, SolveRecord) else r for r in records]
+    if not values:
+        raise ValueError("no records to score")
+    for value in values:
+        check_rewrites(value)
+    return values
 
 
 # -- scoring ---------------------------------------------------------------
@@ -134,40 +142,29 @@ def _rewrites_of(item) -> Rewrites:
 
 def score_completed(records) -> int:
     """How many of the runs produced a verified proof."""
-    values = [_rewrites_of(r) for r in records]
-    if not values:
-        raise ValueError("no records to score")
+    values = _rewrites_of(records)
     return sum(1 for v in values if v != FAIL)
 
 
 def score_fastest(records) -> int:
     """Fewest rewrites of any solved run; MAX_GENERATOR_CALLS (6) when nothing solved."""
-    values = [_rewrites_of(r) for r in records]
-    if not values:
-        raise ValueError("no records to score")
+    values = _rewrites_of(records)
     solved = [v for v in values if v != FAIL]
     return min(solved) if solved else MAX_GENERATOR_CALLS
 
 
 def score_mean(records) -> float:
     """Mean rewrites with FAIL counted as MAX_GENERATOR_CALLS (6), not infinity."""
-    values = [_rewrites_of(r) for r in records]
-    if not values:
-        raise ValueError("no records to score")
+    values = _rewrites_of(records)
     return fmean(MAX_GENERATOR_CALLS if v == FAIL else v for v in values)
 
 
-_SCORER = {
-    Method.COMPLETED_PROOFS: score_completed,
-    Method.FASTEST_SOLVE: score_fastest,
-    Method.MEAN_SOLVE_TIME: score_mean,
-}
-
-# Completed proofs count up; the other two count rewrites, so down.
-_HIGHER_IS_BETTER = {
-    Method.COMPLETED_PROOFS: True,
-    Method.FASTEST_SOLVE: False,
-    Method.MEAN_SOLVE_TIME: False,
+# Each method's scorer, and whether a higher score is better: completed
+# proofs count up; the other two count rewrites, so down.
+_SCORING = {
+    Method.COMPLETED_PROOFS: (score_completed, True),
+    Method.FASTEST_SOLVE: (score_fastest, False),
+    Method.MEAN_SOLVE_TIME: (score_mean, False),
 }
 
 
@@ -182,9 +179,9 @@ def classify(records: Sequence[SolveRecord], method: Method) -> QuestionComparis
         raise MissingCandidate(
             f"clue {next(iter(clue_ids))!r} needs records for both candidates"
         )
-    scorer = _SCORER[method]
+    scorer, higher_is_better = _SCORING[method]
     gold_score, decoy_score = scorer(truth), scorer(decoy)
-    if not _HIGHER_IS_BETTER[method]:
+    if not higher_is_better:
         gold_score, decoy_score = -gold_score, -decoy_score
     if gold_score > decoy_score:
         outcome = Outcome.TRUE_POS
@@ -267,9 +264,7 @@ def render_table(rows: Sequence[TableRow]) -> str:
 def definition_span_text(clue: Clue) -> str:
     """The first marked definition span, or the whole surface when unmarked."""
     spans, plain = dataset.extract_definition(clue.gold_definition or clue.surface)
-    if spans:
-        return plain[spans[0].start : spans[0].end]
-    return plain
+    return spans[0].text if spans else plain
 
 
 def decoy_wordplay(clue: Clue, candidate: str) -> str:
@@ -392,28 +387,29 @@ def run_experiment(
     decoy slot, so a changed word list or table can give a resumed
     clue's decoy slots different candidates.  Ordering is deterministic
     for a deterministic generator; leave ``max_workers`` at 1 when
-    byte-stable results files matter.  With ``transcripts_dir``, clue ids
-    that differ only in their non-alphanumeric characters would share
-    transcript file names, so such a pair is a ValueError before any solve.
+    byte-stable results files matter.  With ``transcripts_dir``, a clue's
+    attempts go to ``<slug of its id>.jsonl``, written afresh when none of
+    its slots were filled and appended to when a resumed clue fills more;
+    two ids with one slug would share that file, so such a pair is a
+    ClueSetError before any solve.
     """
     if samples_per_candidate < 1:
         raise ValueError("samples_per_candidate must be at least 1")
     ids = [clue.clue_id for clue in clues]
     if len(set(ids)) != len(ids) or "" in ids:
-        raise ValueError("every clue needs a unique non-empty clue_id")
+        raise ClueSetError("every clue needs a unique non-empty clue_id")
     if transcripts_dir is not None:
-        # A clue's transcript names start with its id's slug; two ids with
-        # one slug would overwrite each other's files.
+        # Two ids with one slug would write to the same transcript file.
         slugs: dict[str, str] = {}
         for clue_id in ids:
             other = slugs.setdefault(_slug(clue_id), clue_id)
             if other != clue_id:
-                raise ValueError(
-                    f"clue ids {other!r} and {clue_id!r} give the same transcript file names"
+                raise ClueSetError(
+                    f"clue ids {other!r} and {clue_id!r} give the same transcript file name"
                 )
     for clue in clues:
         if not clue.gold_answer:
-            raise ValueError(f"clue {clue.clue_id!r} has no gold answer")
+            raise ClueSetError(f"clue {clue.clue_id!r} has no gold answer")
     if annotations is None:
         annotations = GoldAnnotationSource()
 
@@ -427,34 +423,8 @@ def run_experiment(
             path.write_text("", encoding="utf-8")
     if transcripts_dir is not None:
         Path(transcripts_dir).mkdir(parents=True, exist_ok=True)
-        transcript_stem = os.path.join(transcripts_dir, "")
     filled = {(r.clue_id, r.is_ground_truth, r.sample_index) for r in existing}
     wordlist = tuple(wordlist)
-
-    def solve(
-        clue: Clue, candidate: str, is_truth: bool, sample: int, verdicts: Verdicts
-    ) -> SolveRecord:
-        def record(rewrites: Rewrites, reason: str = "") -> SolveRecord:
-            return SolveRecord(clue.clue_id, candidate, is_truth, sample, rewrites, reason)
-
-        try:
-            definition, wordplay = annotations.annotate(clue, candidate, sample)
-            request = ProofRequest(
-                clue=clue,
-                candidate_answer=candidate,
-                definition=definition,
-                wordplay=wordplay,
-                sample_index=sample,
-            )
-        except (LookupError, ValueError) as error:
-            return record(FAIL, f"{type(error).__name__}: {error}")
-        transcript = prove_with_rewrites(
-            request, generator, lexicon, max_calls=max_generator_calls, verdicts=verdicts
-        )
-        if transcripts_dir is not None:
-            name = f"{_slug(clue.clue_id)}__{candidate or 'none'}__s{sample}.jsonl"
-            save_transcript(transcript, transcript_stem + name)
-        return record(transcript.rewrites_used, transcript.failure_reason)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:
         empty = [
@@ -475,14 +445,41 @@ def run_experiment(
                 log.warning("clue %s: %s", clue.clue_id, decoy_error)
         # One verdict memo per clue, used only by the thread solving it.
         verdicts: Verdicts = {}
+        solves = []  # (request, transcript) of each solve, for the transcript file
+
+        def solve(candidate: str, is_truth: bool, sample: int) -> SolveRecord:
+            try:
+                definition, wordplay = annotations.annotate(clue, candidate, sample)
+                request = ProofRequest(
+                    clue=clue,
+                    candidate_answer=candidate,
+                    definition=definition,
+                    wordplay=wordplay,
+                    sample_index=sample,
+                )
+            except (LookupError, ValueError) as error:
+                rewrites, reason = FAIL, f"{type(error).__name__}: {error}"
+            else:
+                transcript = prove_with_rewrites(
+                    request, generator, lexicon, max_calls=max_generator_calls, verdicts=verdicts
+                )
+                solves.append((request, transcript))
+                rewrites, reason = transcript.rewrites_used, transcript.failure_reason
+            return SolveRecord(clue.clue_id, candidate, is_truth, sample, rewrites, reason)
+
         batch = []
         for is_truth, sample in empty:
             if is_truth:
-                batch.append(solve(clue, gold, True, sample, verdicts))
+                batch.append(solve(gold, True, sample))
             elif decoy_error:
                 batch.append(SolveRecord(clue.clue_id, "", False, sample, FAIL, decoy_error))
             else:
-                batch.append(solve(clue, decoy, False, sample, verdicts))
+                batch.append(solve(decoy, False, sample))
+        if transcripts_dir is not None and empty:
+            # Written before the clue's records, so no record lacks its attempts.
+            path = Path(transcripts_dir, f"{_slug(clue.clue_id)}.jsonl")
+            resumed = len(empty) < 2 * samples_per_candidate and path.exists()
+            save_transcript(solves, path, append=resumed)
         return batch
 
     records = list(existing)

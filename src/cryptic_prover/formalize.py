@@ -24,11 +24,9 @@ wordplay lines, to be completed, rendered once per request).  A rewrite
 prompt appends the previous script and the failure report, which itself
 ends with the rewrite instruction.
 
-``save_transcript`` writes one line per attempt, byte for byte the
-``json.dumps(record, ensure_ascii=False, sort_keys=True)`` of its
-prompt, response, status and failure report.  The static prompt
-prefix is escaped once per process, not once per attempt; each line
-escapes only its prompt's tail, its response and its report.
+``save_transcript`` writes a transcript file: a header line holding
+the static prompt prefix once, then one line per attempt holding its
+prompt's tail, its response, status and failure report.
 
 Three generators ship with the package: ``CompilerBackedMock`` (reads
 the request back out of the prompt with the verifier's proof parser and
@@ -47,9 +45,8 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from pathlib import Path
-from typing import MutableMapping, Optional, Sequence, Union
+from typing import Iterable, MutableMapping, Optional, Sequence, Union
 
 from cryptic_prover import dataset, lexfiles, notation
 from cryptic_prover.core import (
@@ -211,8 +208,8 @@ def compile_wordplay(node: WordplayNode, request: ProofRequest) -> ProofScript:
     """
     answer = normalize_letters(request.candidate_answer)
     pattern_text = request.clue.pattern.render()
-    spans, plain = dataset.extract_definition(request.definition)
-    span_texts = [plain[span.start : span.end] for span in spans]
+    spans, _ = dataset.extract_definition(request.definition)
+    span_texts = [span.text for span in spans]
 
     statements: list[Statement] = []
     if isinstance(node, DoubleDefinition):
@@ -413,54 +410,54 @@ def prove_with_rewrites(
     return GeneratorTranscript(tuple(attempts), FAIL)
 
 
-# json.dumps(text, ensure_ascii=False) for a str is exactly this call.
-_json_string = json.encoder.encode_basestring
+def save_transcript(
+    solves: Iterable[tuple[ProofRequest, GeneratorTranscript]],
+    path: Union[str, Path],
+    append: bool = False,
+) -> None:
+    """Write the attempts of ``solves`` to ``path`` as JSON lines, header first.
 
-
-@lru_cache(maxsize=None)
-def _escaped_prefix() -> str:
-    """The static prompt prefix as a JSON string, without its closing quote."""
-    return _json_string(_prompt_prefix())[:-1]
-
-
-def _json_text(text: str) -> str:
-    """``json.dumps(text, ensure_ascii=False)``, escaping the prompt prefix once.
-
-    JSON escapes one code point at a time, so a text that starts with
-    the prefix encodes as the prefix's escaped form followed by its
-    tail's, without the quotes where they meet.
+    The header is ``{"prefix": <static prompt prefix>}``; ``append`` adds
+    the attempt lines to an existing file instead.  Each attempt line
+    holds ``candidate``, ``sample_index``, ``prompt_tail`` (the prompt
+    after the prefix; a prompt without it is a ValueError), ``response``,
+    ``status`` and ``failure_report``.  A lone surrogate (which
+    ``json.loads`` makes of a ``\\ud800`` escape in a reply) cannot be
+    UTF-8, so it is written as that JSON escape again.
     """
     prefix = _prompt_prefix()
-    if text.startswith(prefix):
-        return _escaped_prefix() + _json_string(text[len(prefix) :])[1:]
-    return _json_string(text)
-
-
-def save_transcript(transcript: GeneratorTranscript, path: Union[str, Path]) -> None:
-    """One JSON line per attempt: prompt, response, status, failure report.
-
-    Each line is ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
-    of the attempt's four fields, written from the fields' escaped texts
-    with the prompt prefix escaped once per process, not once per
-    attempt.  The file is encoded once and written in one call.  A lone
-    surrogate (which ``json.loads`` makes of a ``\\ud800`` escape in a
-    reply) cannot be UTF-8, so it is written as that JSON escape again.
-    """
-    lines = [
-        f'{{"failure_report": {_json_text(attempt.failure_report)}, '
-        f'"prompt": {_json_text(attempt.prompt)}, '
-        f'"response": {_json_text(attempt.response)}, '
-        f'"status": {_json_text(attempt.outcome.status.name)}}}'
-        for attempt in transcript.attempts
-    ]
-    data = ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    lines = [] if append else [{"prefix": prefix}]
+    for request, transcript in solves:
+        for attempt in transcript.attempts:
+            if not attempt.prompt.startswith(prefix):
+                raise ValueError("a transcript prompt must start with the static prompt prefix")
+            lines.append(
+                {
+                    "candidate": request.candidate_answer,
+                    "sample_index": request.sample_index,
+                    "prompt_tail": attempt.prompt[len(prefix) :],
+                    "response": attempt.response,
+                    "status": attempt.outcome.status.name,
+                    "failure_report": attempt.failure_report,
+                }
+            )
+    text = "".join(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n" for line in lines)
+    with open(path, "ab" if append else "wb") as fh:
+        fh.write(text.encode("utf-8", "backslashreplace"))
 
 
 def load_transcript_responses(path: Union[str, Path]) -> list[str]:
-    """The responses of a transcript written by ``save_transcript``, in order."""
-    return list(lexfiles.json_lines(Path(path).read_bytes(), path, itemgetter("response")))
+    """Every response in a transcript written by ``save_transcript``, in file order.
+
+    A first line without ``prefix``, or a later one without ``response``,
+    is a RecordError naming its line.
+    """
+    keys = iter(["prefix"])  # the header's key; every later line's is "response"
+    data = Path(path).read_bytes()
+    values = list(lexfiles.json_lines(data, path, lambda value: value[next(keys, "response")]))
+    if not values:
+        raise lexfiles.RecordError(path, 1, "malformed record: missing key 'prefix'")
+    return values[1:]
 
 
 # -- generators ------------------------------------------------------------------

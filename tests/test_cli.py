@@ -140,9 +140,11 @@ class TestFormalize:
     def test_transcript_lands_under_the_output_dir(self, tmp_path, capsys):
         assert main(self.ARGS + ["--transcript", "camera.jsonl"]) == 0
         saved = tmp_path / "runs" / "camera.jsonl"
-        assert saved.exists()
-        record = json.loads(saved.read_text().splitlines()[0])
-        assert record["status"] == "PROVED"
+        header, record = map(json.loads, saved.read_text(encoding="utf-8").splitlines())
+        assert set(header) == {"prefix"}
+        assert (record["candidate"], record["sample_index"], record["status"]) == (
+            "CAMERA", 0, "PROVED"
+        )
 
     def test_live_generator_requires_the_api_key(self, capsys):
         args = self.ARGS + ["--generator", "live"]
@@ -237,10 +239,46 @@ class TestExperiment:
         assert results.read_bytes() == before
 
     def test_transcripts_directory_is_populated(self, tmp_path, capsys):
-        clues = clue_file(tmp_path)
+        clues = clue_file(tmp_path, count=2)
         assert main(["experiment", "--clues", str(clues), "--samples", "1",
                      "--transcripts", "attempts"]) == 0
+        # One file per clue.
         assert len(list((tmp_path / "runs" / "attempts").glob("*.jsonl"))) == 2
+
+    @pytest.mark.parametrize(
+        "urls, problem",
+        [
+            (["https://x.test/p.q", "https://x.test/p-q"],
+             "clue ids 'p.q#0' and 'p-q#0' give the same transcript file name"),
+            (["https://x.test/p.q", "https://x.test/p.q"],
+             "every clue needs a unique non-empty clue_id"),
+        ],
+        ids=["colliding", "duplicate"],
+    )
+    def test_clue_ids_that_would_share_a_transcript_are_an_input_error(
+        self, tmp_path, capsys, urls, problem
+    ):
+        document = yaml.safe_load(clue_file(tmp_path).read_text(encoding="utf-8"))
+        clues = tmp_path / "twins.yaml"
+        clues.write_text(
+            yaml.safe_dump_all([{**document, "url": url} for url in urls]), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["--output-dir", str(out), "experiment", "--clues", str(clues),
+                     "--transcripts", "tr"])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {clues}: {problem}\n"
+        assert list(out.rglob("*")) == []
+
+    def test_a_clue_without_a_gold_answer_is_an_input_error(self, tmp_path, capsys):
+        clues = clue_file(tmp_path)
+        document = yaml.safe_load(clues.read_text(encoding="utf-8"))
+        del document["clues"][0]["answer"]
+        clues.write_text(yaml.safe_dump(document, allow_unicode=True), encoding="utf-8")
+        assert main(["experiment", "--clues", str(clues)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {clues}: clue ")
+        assert err.endswith(" has no gold answer\n") and err.count("\n") == 1
 
     def test_results_cannot_escape_the_output_dir(self, tmp_path, capsys):
         clues = clue_file(tmp_path)
@@ -295,12 +333,14 @@ class TestMalformedInputFiles:
         self.assert_input_error(capsys, results, 1)
 
     def test_experiment_replay_generator(self, tmp_path, capsys):
+        # An attempt line where the header belongs: line 1 lacks the prefix.
         clues = clue_file(tmp_path)
         path = tmp_path / "transcript.jsonl"
-        path.write_text('{"prompt": "p"}\n')
+        path.write_text('{"prompt_tail": "p", "response": "r"}\n')
         assert main(["experiment", "--clues", str(clues), "--generator", "replay",
                      "--replay", str(path)]) == 2
-        self.assert_input_error(capsys, path, 1)
+        err = self.assert_input_error(capsys, path, 1)
+        assert "missing key 'prefix'" in err
 
 
 class TestUnreadableInputFiles:

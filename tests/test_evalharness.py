@@ -612,11 +612,11 @@ class TestRunExperiment:
                 eight_clues[:1], lexicon, table, wordlist, generator=BrokenGenerator()
             )
 
-    def test_transcripts_are_saved_per_run(
+    def test_transcripts_are_saved_per_clue(
         self, tmp_path, eight_clues, lexicon, table, wordlist
     ):
         outdir = tmp_path / "transcripts"
-        self.run(
+        records = self.run(
             eight_clues[:2],
             lexicon,
             table,
@@ -624,7 +624,71 @@ class TestRunExperiment:
             samples_per_candidate=2,
             transcripts_dir=outdir,
         )
-        assert len(list(outdir.glob("*.jsonl"))) == 8
+        for clue in eight_clues[:2]:
+            path = outdir / f"{evalharness._slug(clue.clue_id)}.jsonl"
+            header, *lines = map(json.loads, path.read_bytes().splitlines())
+            assert header == {"prefix": formalize._prompt_prefix()}
+            # Each solve's attempts, in the order the clue's slots ran.
+            solves = [(line["candidate"], line["sample_index"]) for line in lines]
+            assert list(dict.fromkeys(solves)) == [
+                (r.candidate, r.sample_index) for r in records if r.clue_id == clue.clue_id
+            ]
+        assert len(list(outdir.iterdir())) == 2
+
+    def test_a_resume_appends_to_each_clue_transcript(
+        self, tmp_path, eight_clues, lexicon, table, wordlist
+    ):
+        outdir = tmp_path / "transcripts"
+
+        def run(samples, resume):
+            return self.run(
+                eight_clues[:2],
+                lexicon,
+                table,
+                wordlist,
+                samples_per_candidate=samples,
+                results_path=tmp_path / "results.jsonl",
+                transcripts_dir=outdir,
+                resume=resume,
+            )
+
+        run(2, False)
+        first = {path.name: path.read_bytes() for path in outdir.iterdir()}
+        run(3, True)
+        assert sorted(path.name for path in outdir.iterdir()) == sorted(first)
+        for name, before in first.items():
+            data = (outdir / name).read_bytes()
+            assert data.startswith(before)
+            header, *lines = map(json.loads, data.splitlines())
+            assert set(header) == {"prefix"}
+            assert all("prefix" not in line for line in lines)
+            assert len({(line["candidate"], line["sample_index"]) for line in lines}) == 2 * 3
+
+    def test_a_transcript_left_by_a_crash_before_any_record_is_rewritten(
+        self, tmp_path, eight_clues, lexicon, table, wordlist
+    ):
+        clue, other = eight_clues[:2]
+        fresh, outdir = tmp_path / "fresh", tmp_path / "transcripts"
+        self.run([clue], lexicon, table, wordlist, samples_per_candidate=1, transcripts_dir=fresh)
+        # The other clue finished; the crash came after the clue's
+        # transcript was written and before its records were.
+        results = tmp_path / "results.jsonl"
+        self.run([other], lexicon, table, wordlist, samples_per_candidate=1, results_path=results)
+        name = f"{evalharness._slug(clue.clue_id)}.jsonl"
+        outdir.mkdir()
+        (outdir / name).write_bytes((fresh / name).read_bytes() + b'{"response": "cut')
+        self.run(
+            [clue, other],
+            lexicon,
+            table,
+            wordlist,
+            samples_per_candidate=1,
+            results_path=results,
+            transcripts_dir=outdir,
+            resume=True,
+        )
+        assert (outdir / name).read_bytes() == (fresh / name).read_bytes()
+        assert [path.name for path in outdir.iterdir()] == [name]
 
     def test_a_reply_holding_a_lone_surrogate_is_saved_and_replays(
         self, tmp_path, eight_clues, lexicon, table, wordlist
@@ -650,21 +714,14 @@ class TestRunExperiment:
         )
         assert load_records(results) == records
         assert len(records) == 4
-        clues = {clue.clue_id: clue for clue in eight_clues}
-        for record in records:
-            name = f"{evalharness._slug(record.clue_id)}__{record.candidate}__s0.jsonl"
-            path = outdir / name
+        for clue in eight_clues[:2]:
+            path = outdir / f"{evalharness._slug(clue.clue_id)}.jsonl"
             responses = formalize.load_transcript_responses(path)
-            assert responses == [reply] * MAX_GENERATOR_CALLS
+            assert responses == [reply] * 2 * MAX_GENERATOR_CALLS
             replay = formalize.ScriptedReplayMock.from_transcript(path)
-            definition, wordplay = GoldAnnotationSource().annotate(
-                clues[record.clue_id], record.candidate, 0
-            )
-            request = formalize.ProofRequest(
-                clues[record.clue_id], record.candidate, definition, wordplay
-            )
-            again = formalize.prove_with_rewrites(request, replay, lexicon)
-            assert again.rewrites_used == record.rewrites
+            again = self.run([clue], lexicon, table, wordlist, generator=replay,
+                             samples_per_candidate=1)
+            assert again == [r for r in records if r.clue_id == clue.clue_id]
 
     def test_clue_ids_sharing_transcript_names_are_refused_before_any_solve(
         self, tmp_path, eight_clues, lexicon, table, wordlist
@@ -672,7 +729,7 @@ class TestRunExperiment:
         dotted = replace(eight_clues[0], clue_id="p.q#0")
         dashed = replace(eight_clues[0], clue_id="p-q#0")
         generator = CompilerBackedMock()
-        with pytest.raises(ValueError, match="'p.q#0' and 'p-q#0'"):
+        with pytest.raises(evalharness.ClueSetError, match="'p.q#0' and 'p-q#0'"):
             self.run(
                 [dotted, dashed],
                 lexicon,

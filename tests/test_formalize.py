@@ -592,9 +592,10 @@ class TestTranscript:
         generator = CompilerBackedMock(fail_first=2)
         transcript = prove_with_rewrites(request_for(CAMERA), generator, lexicon)
         path = tmp_path / "camera.jsonl"
-        save_transcript(transcript, path)
+        save_transcript([(request_for(CAMERA), transcript)], path)
 
-        records = [json.loads(line) for line in path.read_text().splitlines()]
+        header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert header == {"prefix": formalize._prompt_prefix()}
         assert [r["status"] for r in records] == ["FAILED", "FAILED", "PROVED"]
         assert records[0]["failure_report"]
         assert records[-1]["failure_report"] == ""
@@ -609,13 +610,16 @@ class TestTranscript:
         replay = ScriptedReplayMock([bad, bad, "garbage\n", bad, good])
         transcript = prove_with_rewrites(request_for(CAMERA), replay, lexicon)
         path = tmp_path / "camera.jsonl"
-        save_transcript(transcript, path)
-        # The format as first written: one report rendered per attempt.
-        expected = []
+        save_transcript([(request_for(CAMERA), transcript)], path)
+        # A header holding the prefix, then one report rendered per attempt.
+        prefix = formalize._prompt_prefix()
+        expected = [json.dumps({"prefix": prefix}, ensure_ascii=False)]
         for attempt in transcript.attempts:
             proved = attempt.outcome.status is ProofStatus.PROVED
             record = {
-                "prompt": attempt.prompt,
+                "candidate": "CAMERA",
+                "sample_index": 0,
+                "prompt_tail": attempt.prompt.removeprefix(prefix),
                 "response": attempt.response,
                 "status": attempt.outcome.status.name,
                 "failure_report": "" if proved else render_failure_report(attempt.outcome),
@@ -631,16 +635,47 @@ class TestTranscript:
             request_for(CAMERA), ScriptedReplayMock([bad, good]), lexicon
         )
         path = tmp_path / "camera.jsonl"
-        save_transcript(transcript, path)
+        save_transcript([(request_for(CAMERA), transcript)], path)
         assert formalize.load_transcript_responses(path) == [bad, good]
         replay = ScriptedReplayMock.from_transcript(path)
         assert prove_with_rewrites(request_for(CAMERA), replay, lexicon).rewrites_used == 1
 
     def test_a_malformed_transcript_line_names_its_number(self, tmp_path):
         path = tmp_path / "broken.jsonl"
-        path.write_bytes(b'{"response": "a"}\n\n{"response": \n')
+        path.write_bytes(b'{"prefix": "p"}\n\n{"response": \n')
         with pytest.raises(ValueError, match="broken.jsonl: line 3: malformed record"):
             ScriptedReplayMock.from_transcript(path)
+
+    @pytest.mark.parametrize(
+        "data, line, key",
+        [
+            (b"", 1, "prefix"),
+            (b'{"response": "a"}\n', 1, "prefix"),
+            (b'{"prefix": "p"}\n{"response": "a"}\n{"prompt_tail": "t"}\n', 3, "response"),
+        ],
+    )
+    def test_a_transcript_needs_its_header_and_each_response(self, tmp_path, data, line, key):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(
+            lexfiles.RecordError, match=f"broken.jsonl: line {line}: .*missing key '{key}'"
+        ):
+            formalize.load_transcript_responses(path)
+
+    def test_appending_adds_attempt_lines_but_no_second_header(self, tmp_path, lexicon):
+        requests = [replace(request_for(CAMERA), sample_index=i) for i in range(2)]
+        solves = [
+            (request, prove_with_rewrites(request, CompilerBackedMock(fail_first=1), lexicon))
+            for request in requests
+        ]
+        path = tmp_path / "camera.jsonl"
+        save_transcript(solves[:1], path)
+        save_transcript(solves[1:], path, append=True)
+        both = path.read_bytes()
+        save_transcript(solves, path)
+        assert path.read_bytes() == both
+        lines = [json.loads(line) for line in both.decode("utf-8").splitlines()]
+        assert [line.get("sample_index") for line in lines] == [None, 0, 0, 1, 1]
 
     def test_saved_transcripts_are_byte_identical_across_runs(self, tmp_path, lexicon):
         paths = []
@@ -649,7 +684,7 @@ class TestTranscript:
                 request_for(CAMERA), CompilerBackedMock(fail_first=1), lexicon
             )
             path = tmp_path / name
-            save_transcript(transcript, path)
+            save_transcript([(request_for(CAMERA), transcript)], path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
@@ -665,39 +700,45 @@ _TRICKY_TEXT = st.text(
     max_size=40,
 )
 
+# An attempt's fields: prompt tail, response, status and failure report.
+_ATTEMPT_FIELDS = st.tuples(_TRICKY_TEXT, _TRICKY_TEXT, st.sampled_from(ProofStatus), _TRICKY_TEXT)
 
-def _prompt_texts():
-    prefix = formalize._prompt_prefix()
-    return st.one_of(
-        _TRICKY_TEXT,
-        st.just(prefix),
-        _TRICKY_TEXT.map(lambda tail: prefix + tail),
-        st.integers(0, len(prefix) - 1).map(lambda end: prefix[:end]),
-    )
+
+def _exhausted(attempts) -> GeneratorTranscript:
+    return GeneratorTranscript(tuple(attempts), "FAIL", failure_reason="generated")
 
 
 class TestTranscriptWriter:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                _prompt_texts(), _TRICKY_TEXT, st.sampled_from(ProofStatus), _TRICKY_TEXT
-            ),
-            max_size=MAX_GENERATOR_CALLS,
+            st.tuples(st.integers(0, 9), st.lists(_ATTEMPT_FIELDS, max_size=MAX_GENERATOR_CALLS)),
+            max_size=3,
         )
     )
-    def test_lines_are_json_dumps_of_each_record(self, tmp_path_factory, fields):
-        attempts = tuple(
-            Attempt(prompt, response, VerificationOutcome(status), report)
-            for prompt, response, status, report in fields
-        )
-        transcript = GeneratorTranscript(attempts, "FAIL", failure_reason="generated")
+    def test_lines_are_json_dumps_of_each_record(self, tmp_path_factory, solves):
+        prefix = formalize._prompt_prefix()
+        saved = [
+            (
+                replace(request_for(CAMERA), sample_index=sample),
+                _exhausted(
+                    Attempt(prefix + tail, response, VerificationOutcome(status), report)
+                    for tail, response, status, report in fields
+                ),
+            )
+            for sample, fields in solves
+        ]
         path = tmp_path_factory.getbasetemp() / "writer.jsonl"
-        save_transcript(transcript, path)
-        expected = [
+        save_transcript(saved, path)
+        attempts = [
+            (request, attempt) for request, transcript in saved for attempt in transcript.attempts
+        ]
+        expected = [json.dumps({"prefix": prefix}, ensure_ascii=False)] + [
             json.dumps(
                 {
-                    "prompt": attempt.prompt,
+                    "candidate": request.candidate_answer,
+                    "sample_index": request.sample_index,
+                    "prompt_tail": attempt.prompt[len(prefix) :],
                     "response": attempt.response,
                     "status": attempt.outcome.status.name,
                     "failure_report": attempt.failure_report,
@@ -705,10 +746,42 @@ class TestTranscriptWriter:
                 ensure_ascii=False,
                 sort_keys=True,
             )
-            for attempt in attempts
+            for request, attempt in attempts
         ]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
-        assert formalize.load_transcript_responses(path) == [a.response for a in attempts]
+        data = path.read_bytes()
+        assert data == ("\n".join(expected) + "\n").encode("utf-8")
+        # Every attempt can be rebuilt from the file, its prompt included.
+        header, *lines = (json.loads(line) for line in data.split(b"\n")[:-1])
+        rebuilt = [
+            (line["sample_index"], header["prefix"] + line["prompt_tail"], line["response"],
+             line["status"], line["failure_report"])
+            for line in lines
+        ]
+        assert rebuilt == [
+            (request.sample_index, attempt.prompt, attempt.response,
+             attempt.outcome.status.name, attempt.failure_report)
+            for request, attempt in attempts
+        ]
+        assert formalize.load_transcript_responses(path) == [
+            attempt.response for _, attempt in attempts
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.one_of(
+            _TRICKY_TEXT,
+            st.integers(0, len(formalize._prompt_prefix()) - 1).map(
+                lambda end: formalize._prompt_prefix()[:end]
+            ),
+        ).filter(lambda prompt: not prompt.startswith(formalize._prompt_prefix()))
+    )
+    def test_a_prompt_without_the_prefix_is_refused(self, tmp_path_factory, prompt):
+        attempt = Attempt(prompt, "reply", VerificationOutcome(ProofStatus.FAILED), "report")
+        path = tmp_path_factory.getbasetemp() / "refused.jsonl"
+        path.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match="static prompt prefix"):
+            save_transcript([(request_for(CAMERA), _exhausted([attempt]))], path)
+        assert not path.exists()
 
     def test_a_lone_surrogate_is_written_as_its_json_escape(self, tmp_path, lexicon):
         reply = "assert x\n# \ud800\n"
@@ -716,11 +789,14 @@ class TestTranscriptWriter:
             request_for(CAMERA), ScriptedReplayMock([reply] * MAX_GENERATOR_CALLS), lexicon
         )
         path = tmp_path / "camera.jsonl"
-        save_transcript(transcript, path)
+        save_transcript([(request_for(CAMERA), transcript)], path)
         text = path.read_bytes().decode("utf-8")
         assert "\ud800" not in text
         assert '# \\ud800' in text
         assert formalize.load_transcript_responses(path) == [reply] * MAX_GENERATOR_CALLS
+        replay = ScriptedReplayMock.from_transcript(path)
+        again = prove_with_rewrites(request_for(CAMERA), replay, lexicon)
+        assert [a.response for a in again.attempts] == [reply] * MAX_GENERATOR_CALLS
 
 
 class TestHttpGenerator:

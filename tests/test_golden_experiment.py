@@ -2,9 +2,9 @@
 
 ``golden/experiment/results.jsonl`` is the ``results.jsonl`` of
 ``cryptic-prover experiment --clues worked_examples.yaml --transcripts tr``
-with the mock generator and the default 5 samples.  The 100 transcripts
-(2.6 MB) are pinned by ``golden/experiment/transcripts.sha256``, one
-``sha256  file name`` line each, in the format ``sha256sum`` writes.
+with the mock generator and the default 5 samples.  The 10 transcripts,
+one per clue (580 KB), are pinned by ``golden/experiment/transcripts.sha256``,
+one ``sha256  file name`` line each, in the format ``sha256sum`` writes.
 
 CI runs this file under two ``PYTHONHASHSEED`` values, so output that
 depends on set or dict-of-set iteration order fails here.
@@ -14,8 +14,10 @@ import hashlib
 import os
 from pathlib import Path
 
-from cryptic_prover import lexfiles
-from cryptic_prover.cli import main
+from cryptic_prover import dataset, evalharness, lexfiles
+from cryptic_prover.candidates import load_embeddings
+from cryptic_prover.cli import CliConfig, main
+from cryptic_prover.formalize import ScriptedReplayMock, load_transcript_responses
 
 GOLDEN = Path(__file__).parent / "golden" / "experiment"
 
@@ -70,4 +72,25 @@ def test_four_workers_reproduce_the_golden_outputs(tmp_path, monkeypatch):
 def test_first_difference_names_a_missing_transcript(tmp_path):
     (tmp_path / "tr").mkdir()
     (tmp_path / "results.jsonl").write_bytes((GOLDEN / "results.jsonl").read_bytes())
-    assert first_difference(tmp_path) == "tr/charade-walkthroughs-0__BLIND__s0.jsonl (missing)"
+    assert first_difference(tmp_path) == "tr/charade-walkthroughs-0.jsonl (missing)"
+
+
+def test_each_clue_transcript_replays_to_its_golden_records(tmp_path, monkeypatch):
+    for name in [name for name in os.environ if name.startswith("CRYPTIC_PROVER_")]:
+        monkeypatch.delenv(name)
+    worked = lexfiles.seed_path("fixtures/worked_examples.yaml")
+    assert main(["--output-dir", str(tmp_path), "experiment", "--clues", str(worked),
+                 "--transcripts", "tr"]) == 0
+    golden = evalharness.load_records(GOLDEN / "results.jsonl")
+    config = CliConfig()
+    lexicon = config.lexicon()
+    table, wordlist = load_embeddings(config.embeddings), lexfiles.load_wordlist(config.wordlist)
+    clues = [clue for document in dataset.load_puzzles(worked) for clue in document.clues]
+    for clue in clues:
+        path = tmp_path / "tr" / f"{evalharness._slug(clue.clue_id)}.jsonl"
+        replay = ScriptedReplayMock.from_transcript(path)
+        records = evalharness.run_experiment(
+            [clue], generator=replay, lexicon=lexicon, table=table, wordlist=wordlist
+        )
+        assert records == [r for r in golden if r.clue_id == clue.clue_id]
+        assert replay.calls == len(load_transcript_responses(path))
