@@ -228,6 +228,7 @@ def _emit_json(payload) -> None:
 
 
 def _node_dict(node) -> dict:
+    """A wordplay tree as JSON values: each node a dict whose ``kind`` is its class name."""
     out = {"kind": type(node).__name__}
     for field in dataclasses.fields(node):
         value = getattr(node, field.name)
@@ -238,35 +239,24 @@ def _node_dict(node) -> dict:
                 _node_dict(item) if dataclasses.is_dataclass(item) else item
                 for item in value
             ]
-        elif hasattr(value, "name") and not isinstance(value, str):
-            value = value.name
         out[field.name] = value
     return out
 
 
-def _tree_lines(node, depth=0) -> list[str]:
-    pad = "  " * depth
-    name = type(node).__name__
-    detail = []
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if dataclasses.is_dataclass(value) or (
-            isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0])
-        ):
-            continue
-        if value == "" or value == () or value is False or value is None:
-            continue
-        shown = value.name if hasattr(value, "name") and not isinstance(value, str) else value
-        detail.append(f"{field.name}={shown!r}")
-    lines = [f"{pad}{name}" + (f" ({', '.join(detail)})" if detail else "")]
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if dataclasses.is_dataclass(value):
-            lines.extend(_tree_lines(value, depth + 1))
-        elif isinstance(value, tuple):
-            for item in value:
-                if dataclasses.is_dataclass(item):
-                    lines.extend(_tree_lines(item, depth + 1))
+def _tree_lines(tree: dict, depth=0) -> list[str]:
+    """A ``_node_dict`` tree as text: a node's set fields, then its children indented."""
+    detail, children = [], []
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            children.append(value)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            children.extend(value)
+        elif key != "kind" and value not in ("", [], None) and value is not False:
+            shown = tuple(value) if isinstance(value, list) else value
+            detail.append(f"{key}={shown!r}")
+    lines = ["  " * depth + tree["kind"] + (f" ({', '.join(detail)})" if detail else "")]
+    for child in children:
+        lines.extend(_tree_lines(child, depth + 1))
     return lines
 
 
@@ -305,7 +295,7 @@ def cmd_parse(config: CliConfig, args) -> int:
         elif len(annotations) > 1:
             print(f"{letters}\t{notation.render_wordplay(node, lexicon)}")
         else:
-            print("\n".join(_tree_lines(node)))
+            print("\n".join(_tree_lines(_node_dict(node))))
             print(f"letters: {letters}")
     return status
 

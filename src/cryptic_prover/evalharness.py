@@ -49,7 +49,7 @@ from cryptic_prover.formalize import (
     prove_with_rewrites,
     save_transcript,
 )
-from cryptic_prover.lexfiles import json_lines
+from cryptic_prover.lexfiles import RecordError, json_lines
 from cryptic_prover.oracles import Lexicon
 
 log = logging.getLogger(__name__)
@@ -127,9 +127,8 @@ class QuestionComparison:
     outcome: Outcome
 
 
-def _rewrites_of(records) -> list[Rewrites]:
-    """The checked rewrites of SolveRecords or of bare values; never empty."""
-    values = [r.rewrites if isinstance(r, SolveRecord) else r for r in records]
+def _checked(values: Sequence[Rewrites]) -> Sequence[Rewrites]:
+    """``values`` after ``check_rewrites`` on each; never empty."""
     if not values:
         raise ValueError("no records to score")
     for value in values:
@@ -140,23 +139,20 @@ def _rewrites_of(records) -> list[Rewrites]:
 # -- scoring ---------------------------------------------------------------
 
 
-def score_completed(records) -> int:
+def score_completed(values: Sequence[Rewrites]) -> int:
     """How many of the runs produced a verified proof."""
-    values = _rewrites_of(records)
-    return sum(1 for v in values if v != FAIL)
+    return sum(1 for v in _checked(values) if v != FAIL)
 
 
-def score_fastest(records) -> int:
+def score_fastest(values: Sequence[Rewrites]) -> int:
     """Fewest rewrites of any solved run; MAX_GENERATOR_CALLS (6) when nothing solved."""
-    values = _rewrites_of(records)
-    solved = [v for v in values if v != FAIL]
+    solved = [v for v in _checked(values) if v != FAIL]
     return min(solved) if solved else MAX_GENERATOR_CALLS
 
 
-def score_mean(records) -> float:
+def score_mean(values: Sequence[Rewrites]) -> float:
     """Mean rewrites with FAIL counted as MAX_GENERATOR_CALLS (6), not infinity."""
-    values = _rewrites_of(records)
-    return fmean(MAX_GENERATOR_CALLS if v == FAIL else v for v in values)
+    return fmean(MAX_GENERATOR_CALLS if v == FAIL else v for v in _checked(values))
 
 
 # Each method's scorer, and whether a higher score is better: completed
@@ -173,8 +169,8 @@ def classify(records: Sequence[SolveRecord], method: Method) -> QuestionComparis
     clue_ids = {r.clue_id for r in records}
     if len(clue_ids) != 1:
         raise ValueError(f"records span {sorted(clue_ids)!r}, expected one clue")
-    truth = [r for r in records if r.is_ground_truth]
-    decoy = [r for r in records if not r.is_ground_truth]
+    truth = [r.rewrites for r in records if r.is_ground_truth]
+    decoy = [r.rewrites for r in records if not r.is_ground_truth]
     if not truth or not decoy:
         raise MissingCandidate(
             f"clue {next(iter(clue_ids))!r} needs records for both candidates"
@@ -350,6 +346,30 @@ def _cut_partial_line(path: Path) -> None:
         fh.truncate(fh.read().rfind(b"\n") + 1)
 
 
+def _keep_recorded_attempts(path: Path, recorded: set[tuple[str, int]]) -> None:
+    """Cut a clue's transcript to its header and the attempts of its records.
+
+    ``recorded`` holds the ``(candidate, sample_index)`` of each record.
+    A crash after a resumed clue's attempts were appended and before its
+    records were leaves attempts of slots the next resume runs again, and
+    maybe a partial last line; both go, so the file replays the recorded
+    slots once each.  A file with nothing to cut is left as it is.
+    """
+    data = path.read_bytes()
+    lines = data[: data.rfind(b"\n") + 1].split(b"\n")[:-1]
+    kept = lines[:1]
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            value = json.loads(line)
+            slot = (value["candidate"], value["sample_index"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise RecordError(path, number, f"malformed record: {error}") from None
+        if slot in recorded:
+            kept.append(line)
+    if len(kept) < len(lines) or not data.endswith(b"\n"):
+        path.write_bytes(b"".join(line + b"\n" for line in kept))
+
+
 def _append_records(path: Union[str, Path], records: Iterable[SolveRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
@@ -389,9 +409,10 @@ def run_experiment(
     for a deterministic generator; leave ``max_workers`` at 1 when
     byte-stable results files matter.  With ``transcripts_dir``, a clue's
     attempts go to ``<slug of its id>.jsonl``, written afresh when none of
-    its slots were filled and appended to when a resumed clue fills more;
-    two ids with one slug would share that file, so such a pair is a
-    ClueSetError before any solve.
+    its slots were filled and appended to when a resumed clue fills more,
+    after cutting the attempts of slots without a record; two ids with one
+    slug would share that file, so such a pair is a ClueSetError before
+    any solve.
     """
     if samples_per_candidate < 1:
         raise ValueError("samples_per_candidate must be at least 1")
@@ -424,6 +445,9 @@ def run_experiment(
     if transcripts_dir is not None:
         Path(transcripts_dir).mkdir(parents=True, exist_ok=True)
     filled = {(r.clue_id, r.is_ground_truth, r.sample_index) for r in existing}
+    recorded: dict[str, set[tuple[str, int]]] = {}
+    for r in existing:
+        recorded.setdefault(r.clue_id, set()).add((r.candidate, r.sample_index))
     wordlist = tuple(wordlist)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:
@@ -479,6 +503,8 @@ def run_experiment(
             # Written before the clue's records, so no record lacks its attempts.
             path = Path(transcripts_dir, f"{_slug(clue.clue_id)}.jsonl")
             resumed = len(empty) < 2 * samples_per_candidate and path.exists()
+            if resumed:
+                _keep_recorded_attempts(path, recorded[clue.clue_id])
             save_transcript(solves, path, append=resumed)
         return batch
 

@@ -129,24 +129,18 @@ def _two_columns(path: str | Path) -> Iterator[tuple[str, str]]:
         yield parts[0].strip(), parts[1].strip()
 
 
-def load_abbreviations(path: str | Path) -> dict[str, list[str]]:
-    """Map case-folded short form to its expansions in display form, file order."""
+def _load_keyed(path: str | Path) -> dict[str, list[str]]:
+    """Map each case-folded first column to its second columns in display form, file order."""
     table: dict[str, list[str]] = {}
-    for short, phrase in _two_columns(path):
-        entries = table.setdefault(short.casefold(), [])
-        if phrase not in entries:
-            entries.append(phrase)
+    for key, entry in _two_columns(path):
+        entries = table.setdefault(key.casefold(), [])
+        if entry not in entries:
+            entries.append(entry)
     return table
 
 
-def load_thesaurus(path: str | Path) -> dict[str, list[str]]:
-    """Map case-folded phrase to its candidates in display form, file order."""
-    table: dict[str, list[str]] = {}
-    for phrase, candidate in _two_columns(path):
-        entries = table.setdefault(phrase.casefold(), [])
-        if candidate not in entries:
-            entries.append(candidate)
-    return table
+# Short form to its expansions; phrase to its candidates.
+load_abbreviations = load_thesaurus = _load_keyed
 
 
 def load_indicators(paths: Iterable[str | Path]) -> dict[str, frozenset[ActionKind]]:

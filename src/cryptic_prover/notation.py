@@ -7,9 +7,13 @@ standardised dialect.  The conventions this module understands:
 * ``(corset)* (*shredded)`` marks an anagram and its signifier word.
 * ``(LAGER)< (<returned)`` marks a reversal and its signifier.
 * ``[c]RAVEN`` / ``ELVE[s]`` mark deleted leading/trailing letters; an
-  internal ``AB[c]DE`` marks an internal deletion.
+  internal ``AB[c]DE`` marks an internal deletion.  The node keeps where
+  the brackets put the removed letters (``start``), so ``BAN[a]NA`` is
+  ``BANNA``.
 * ``D[one]`` keeps only the initial letter of a clue word.
-* ``[fo]UND ERMINE D[eer] (hides)`` marks an answer hidden across words.
+* ``[fo]UND ERMINE D[eer] (hides)`` marks an answer hidden across words;
+  the node keeps the index in the host's letters where the brackets put
+  it (``start``), so ``[a]AA A[aa]`` takes ``AA`` + ``A``.
 * ``WORD (gloss)`` records the clue phrase the letters came from; a
   ``short form`` note marks an abbreviation rather than a synonym.
 * ``"pair" (twins, "we hear")`` marks a homophone, its origin phrase and
@@ -27,11 +31,13 @@ cannot account for it), permuting anagrams, spelling out homophones and
 searching container split points as needed.
 
 Each node kind's rules are defined once, here, and every reader uses
-them: ``indicator_action`` (the action a node's indicator must signify),
-``deletion_split`` (the letters a deletion keeps before, removes and keeps
-after), ``hidden_pieces`` (which letters of each host word a hidden answer
-takes) and ``surface_letters``.  The parser, the renderer, the resolver
-and ``formalize.compile_wordplay`` all read these.
+them: ``indicator_action`` (the action a node's indicator must signify;
+a deletion's follows from its ``start``), ``deletion_split`` (the letters
+a deletion keeps before, removes and keeps after), ``hidden_pieces``
+(which letters of each host word a hidden answer takes) and
+``surface_letters``.  The last two slice at the node's ``start``; nothing
+searches for a position the annotation already stated.  The parser, the
+renderer, the resolver and ``formalize.compile_wordplay`` all read these.
 
 Which bare phrases are signifiers (``(hides)``, ``around``) and which
 short glosses are abbreviations comes from an ``oracles.Lexicon``:
@@ -45,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from enum import Enum, auto
 from typing import Optional, Union
 
 from cryptic_prover.core import ActionKind, normalize_letters, phonetic_key
@@ -65,12 +70,6 @@ class ParseError(ValueError):
         super().__init__(
             f"{message} at position {position} (parsed prefix {self.matched_prefix!r})"
         )
-
-
-class DeletionKind(Enum):
-    FIRST = auto()
-    LAST = auto()
-    INNER = auto()
 
 
 def _require_caps(letters: str, what: str) -> None:
@@ -122,9 +121,11 @@ class Reversal:
 
 @dataclass(frozen=True)
 class Deletion:
+    """``removed`` taken out of the source's letters at index ``start``."""
+
     source: "WordplayNode"
     removed: str
-    kind: DeletionKind
+    start: int
     indicator: str
 
     def __post_init__(self):
@@ -148,15 +149,19 @@ class Initials:
 
 @dataclass(frozen=True)
 class Hidden:
+    """``letters`` found at index ``start`` of the host's letters."""
+
     host_text: str
     indicator: str
     letters: str
+    start: int
 
     def __post_init__(self):
         _require_caps(self.letters, "Hidden letters")
-        if self.letters not in normalize_letters(self.host_text):
+        host = normalize_letters(self.host_text)
+        if self.start < 0 or host[self.start : self.start + len(self.letters)] != self.letters:
             raise ValueError(
-                f"{self.letters!r} is not contiguous in {self.host_text!r}"
+                f"{self.letters!r} is not at index {self.start} of {self.host_text!r}"
             )
 
 
@@ -236,10 +241,6 @@ _NODE_ACTION = {
     Hidden: ActionKind.SUBSTRING,
     Homophone: ActionKind.HOMOPHONE,
 }
-_DELETION_ACTION = {
-    DeletionKind.FIRST: ActionKind.REMOVE_FIRST,
-    DeletionKind.LAST: ActionKind.REMOVE_LAST,
-}
 
 
 def indicator_action(node: WordplayNode) -> Optional[ActionKind]:
@@ -247,61 +248,41 @@ def indicator_action(node: WordplayNode) -> Optional[ActionKind]:
 
     ``None`` for nodes without an indicator (leaves, sequences, double
     definitions) and for inner deletions, which no ``ActionKind`` names.
+    A deletion at the start of its source removes first letters, one
+    at the end last letters.
     """
     if isinstance(node, Deletion):
-        return _DELETION_ACTION.get(node.kind)
+        before, _, after = deletion_split(node)
+        if not before:
+            return ActionKind.REMOVE_FIRST
+        return None if after else ActionKind.REMOVE_LAST
     if isinstance(node, Container):
         return ActionKind.GOES_INSIDE if node.inserted else ActionKind.GOES_OUTSIDE
     return _NODE_ACTION.get(type(node))
 
 
 def deletion_split(node: Deletion) -> tuple[str, str, str]:
-    """The source letters as (kept before, removed, kept after).
+    """The source letters as (kept before, removed, kept after), cut at ``start``.
 
-    FIRST removes a prefix, LAST a suffix and INNER the first run that
-    keeps a letter on each side.  ValueError when the removed letters are
-    not such a run, or when nothing would remain.
+    ValueError when the removed letters are not at ``start``, or when
+    nothing would remain.
     """
     s = surface_letters(node.source)
     r = node.removed
+    end = node.start + len(r)
     if len(r) >= len(s):
         raise ValueError(f"cannot delete {r!r} from {s!r}: nothing would remain")
-    if node.kind is DeletionKind.FIRST:
-        i = 0 if s.startswith(r) else -1
-    elif node.kind is DeletionKind.LAST:
-        i = len(s) - len(r) if s.endswith(r) else -1
-    else:
-        i = s.find(r, 1, len(s) - 1)
-    if i < 0:
-        raise ValueError(f"{r!r} is not a {node.kind.name} segment of {s!r}")
-    return s[:i], r, s[i + len(r) :]
+    if node.start < 0 or s[node.start : end] != r:
+        raise ValueError(f"{r!r} is not at index {node.start} of {s!r}")
+    return s[: node.start], r, s[end:]
 
 
 def hidden_pieces(node: Hidden) -> list[tuple[str, str, str]]:
-    """Per host word, its letters before, inside and after the hidden answer.
-
-    Brackets may only open the first word and close the last, so the
-    answer is taken at the first occurrence whose overhangs stay within
-    those words (strictly inside a one-word host), failing that at the
-    first occurrence.
-    """
-    norms = [normalize_letters(word) for word in node.host_text.split()]
-    joined = "".join(norms)
-    start = probe = joined.find(node.letters)
-    while probe >= 0:
-        end = probe + len(node.letters)
-        if len(norms) == 1:
-            fits = 0 < probe and end < len(joined)
-        else:
-            fits = probe <= len(norms[0]) and end >= len(joined) - len(norms[-1])
-        if fits:
-            start = probe
-            break
-        probe = joined.find(node.letters, probe + 1)
-    end = start + len(node.letters)
+    """Per host word, its letters before, inside and after the hidden answer."""
+    start, end = node.start, node.start + len(node.letters)
     pieces = []
     offset = 0
-    for norm in norms:
+    for norm in map(normalize_letters, node.host_text.split()):
         lo = min(max(start - offset, 0), len(norm))
         hi = min(max(end - offset, 0), len(norm))
         pieces.append((norm[:lo], norm[lo:hi], norm[hi:]))
@@ -659,27 +640,15 @@ def _word_item(token: _Token, full: str) -> _Item:
             )
     caps = [normalize_letters(t) for t in texts]
 
-    if kinds == ["brkt", "bare"]:
-        return _Unit(
-            Deletion(Literal(caps[0] + caps[1]), caps[0], DeletionKind.FIRST, ""),
-            token.pos,
-        )
-    if kinds == ["bare", "brkt"]:
-        if len(caps[0]) == 1 and len(caps[1]) > 1:
-            word = (texts[0] + texts[1]).lower()
-            return _Unit(Initials((word,), ""), token.pos)
-        return _Unit(
-            Deletion(Literal(caps[0] + caps[1]), caps[1], DeletionKind.LAST, ""),
-            token.pos,
-        )
-    if kinds == ["bare", "brkt", "bare"]:
-        return _Unit(
-            Deletion(Literal(caps[0] + caps[1] + caps[2]), caps[1], DeletionKind.INNER, ""),
-            token.pos,
-        )
+    if kinds == ["bare", "brkt"] and len(caps[0]) == 1 and len(caps[1]) > 1:
+        return _Unit(Initials(((texts[0] + texts[1]).lower(),), ""), token.pos)
+    if kinds in (["brkt", "bare"], ["bare", "brkt"], ["bare", "brkt", "bare"]):
+        cut = kinds.index("brkt")
+        deletion = Deletion(Literal("".join(caps)), caps[cut], len("".join(caps[:cut])), "")
+        return _Unit(deletion, token.pos)
     if kinds == ["brkt", "bare", "brkt"]:
-        host = (texts[0] + texts[1] + texts[2]).lower()
-        return _Unit(Hidden(host, "", caps[1]), token.pos)
+        host = "".join(texts).lower()
+        return _Unit(Hidden(host, "", caps[1], len(caps[0])), token.pos)
     raise ParseError(f"unrecognized word shape {token.text!r}", full, token.pos)
 
 
@@ -724,7 +693,9 @@ def _try_hidden_run(
         )
         if not letters:
             raise ParseError("hidden words carry no capitals", full, tokens[start].pos)
-        return _Unit(Hidden(" ".join(words), "", letters), tokens[start].pos), j
+        kind, text = run[0][0]
+        offset = len(normalize_letters(text)) if kind == "brkt" else 0
+        return _Unit(Hidden(" ".join(words), "", letters, offset), tokens[start].pos), j
     if not has_brackets:
         letters = "".join(normalize_letters(t) for segs in run for _, t in segs)
         return _Unit(Literal(letters), tokens[start].pos), j
@@ -768,6 +739,12 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
     # A "+" closes the fragment before it: groups and quotes that follow
     # belong to the next fragment and must not attach backwards.
     boundary = -1
+
+    def previous_unit() -> Optional[_Unit]:
+        """The unit a group, quote or removal note attaches back to, if any."""
+        if items and len(items) != boundary and isinstance(items[-1], _Unit):
+            return items[-1]
+        return None
 
     def new_unit(unit: _Unit) -> None:
         for group in pending:
@@ -819,9 +796,7 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
                 items.append(_CSig(live[0][1], token.pos))
                 i += 1
                 continue
-            last = items[-1] if items and isinstance(items[-1], _Unit) else None
-            if len(items) == boundary:
-                last = None
+            last = previous_unit()
             if last is not None and _apply_group(last, group, lexicon, items, boundary):
                 i += 1
                 continue
@@ -831,9 +806,7 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
                 continue
             raise ParseError("gloss does not attach to anything", full, token.pos)
         if token.kind == "DQUOTE":
-            last = items[-1] if items and isinstance(items[-1], _Unit) else None
-            if len(items) == boundary:
-                last = None
+            last = previous_unit()
             if last is not None and isinstance(last.node, Literal):
                 last.node = Homophone(token.text, "", letters=last.node.letters)
                 last.split_marker = None
@@ -843,7 +816,7 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
             continue
         if token.kind == "MINUS":
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            last = items[-1] if items and isinstance(items[-1], _Unit) else None
+            last = previous_unit()
             if nxt is None or nxt.kind != "SQUOTE":
                 raise ParseError("expected quoted letters after '-'", full, token.pos)
             if last is None or not isinstance(last.node, Deletion):

@@ -11,12 +11,14 @@ import yaml
 from cryptic_prover import lexfiles
 from cryptic_prover.cli import CliConfig, build_parser, main, resolve_config
 from cryptic_prover.core import Clue, Pattern
+from cryptic_prover.notation import parse_wordplay
 from cryptic_prover.oracles import seed_lexicon
 from cryptic_prover.verifier import ProofStatus, verify_text
 
 CAMERA_PROOF = lexfiles.seed_path("fixtures/proofs/camera.proof")
 RUDE_PROOF = lexfiles.seed_path("fixtures/proofs/rude.proof")
 WORKED = lexfiles.seed_path("fixtures/worked_examples.yaml")
+GOLDEN_ANNOTATIONS = Path(__file__).parent / "golden" / "notation" / "annotations.txt"
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +77,30 @@ class TestParse:
 
     def test_no_input_is_a_usage_error(self, capsys):
         assert main(["parse"]) == 2
+
+    def test_every_json_tree_node_is_named_by_its_class(self, capsys):
+        def check(tree, node):
+            assert tree["kind"] == type(node).__name__
+            for field in dataclasses.fields(node):
+                value = getattr(node, field.name)
+                pairs = zip(tree[field.name], value) if isinstance(value, tuple) else [
+                    (tree[field.name], value)
+                ]
+                for child_tree, child in pairs:
+                    if dataclasses.is_dataclass(child):
+                        check(child_tree, child)
+
+        assert main(["parse", "--json", "--file", str(GOLDEN_ANNOTATIONS)]) == 0
+        payloads = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(payloads) == 40
+        for payload in payloads:
+            check(payload["tree"], parse_wordplay(payload["annotation"]))
+
+    def test_text_tree_shows_a_deletions_position(self, capsys):
+        assert main(["parse", "BAN[a]NA"]) == 0
+        assert capsys.readouterr().out == (
+            "Deletion (removed='A', start=3)\n  Literal (letters='BANANA')\nletters: BANNA\n"
+        )
 
 
 class TestVerify:

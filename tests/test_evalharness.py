@@ -1,6 +1,7 @@
 """Scoring, classification, tabulation, and the desk-scale experiment."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -100,11 +101,11 @@ class TestScoring:
         assert score_mean([FAIL] * 5) == 6.0
         assert score_mean([0] * 5) == 0.0
 
-    def test_scorers_accept_solve_records(self):
-        records = [record(rewrites=1), record(sample=1, rewrites=FAIL)]
-        assert score_completed(records) == 1
-        assert score_fastest(records) == 1
-        assert score_mean(records) == 3.5
+    def test_scorers_take_rewrite_values_not_records(self):
+        # classify passes each record's rewrites; a record itself is no count.
+        for scorer in (score_completed, score_fastest, score_mean):
+            with pytest.raises(ValueError, match="rewrites out of range"):
+                scorer([record(rewrites=1)])
 
     @pytest.mark.parametrize("scorer", [score_completed, score_fastest, score_mean])
     def test_empty_record_sets_are_rejected(self, scorer):
@@ -689,6 +690,55 @@ class TestRunExperiment:
         )
         assert (outdir / name).read_bytes() == (fresh / name).read_bytes()
         assert [path.name for path in outdir.iterdir()] == [name]
+
+    def test_a_crash_before_a_resumed_clues_records_leaves_no_stray_attempts(
+        self, tmp_path, monkeypatch, eight_clues, lexicon, table, wordlist
+    ):
+        clue = eight_clues[0]
+        name = f"{evalharness._slug(clue.clue_id)}.jsonl"
+
+        def run(directory, samples, resume):
+            return self.run(
+                [clue],
+                lexicon,
+                table,
+                wordlist,
+                samples_per_candidate=samples,
+                results_path=directory / "results.jsonl",
+                transcripts_dir=directory / "tr",
+                resume=resume,
+            )
+
+        clean, crashed = tmp_path / "clean", tmp_path / "crashed"
+        for directory in (clean, crashed):
+            directory.mkdir()
+            run(directory, 1, False)
+        run(clean, 2, True)
+
+        append_records = evalharness._append_records
+        calls = []
+
+        def crash_once(path, records):
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            append_records(path, records)
+
+        monkeypatch.setattr(evalharness, "_append_records", crash_once)
+        with pytest.raises(OSError, match="disk full"):
+            run(crashed, 2, True)
+        records = run(crashed, 2, True)
+
+        assert len(records) == 4
+        data = (crashed / "tr" / name).read_bytes()
+        header, *lines = map(json.loads, data.splitlines())
+        attempts = Counter((line["candidate"], line["sample_index"]) for line in lines)
+        # Each recorded slot's attempts once: one per generator call it made.
+        assert attempts == {
+            (r.candidate, r.sample_index): MAX_GENERATOR_CALLS if r.rewrites == FAIL else r.rewrites + 1
+            for r in records
+        }
+        assert data == (clean / "tr" / name).read_bytes()
 
     def test_a_reply_holding_a_lone_surrogate_is_saved_and_replays(
         self, tmp_path, eight_clues, lexicon, table, wordlist

@@ -2,8 +2,8 @@
 
 ``golden/notation/annotations.txt`` lists one annotation per line: every
 device-table example of the README, every ``wordplay:`` of the packaged
-fixtures, and every node kind and deletion kind, with multi-word hidden
-answers and split containers.  Two outputs of that list are pinned:
+fixtures, and every node kind and deletion position, with multi-word
+hidden answers and split containers.  Two outputs of that list are pinned:
 
 * ``parse.jsonl``: ``cryptic-prover parse --json --file annotations.txt``;
 * ``proofs.txt``: for each annotation, ``render_proof(compile_wordplay(...))``

@@ -44,7 +44,7 @@ def test_reversal_with_shared_group():
 def test_deletion_with_removal_note_and_commentary():
     node = n.parse_wordplay("[c]RAVEN (cowardly) - 'C' (i.e. circa, about) (-fly away)")
     assert node == n.Deletion(
-        n.SynonymOf("cowardly", "CRAVEN"), "C", n.DeletionKind.FIRST, "fly away"
+        n.SynonymOf("cowardly", "CRAVEN"), "C", 0, "fly away"
     )
 
 
@@ -79,7 +79,7 @@ def test_initials_and_trailing_deletion():
         (
             n.Initials(("done",), "primarily"),
             n.Deletion(
-                n.SynonymOf("magical beings", "ELVES"), "S", n.DeletionKind.LAST, "most of"
+                n.SynonymOf("magical beings", "ELVES"), "S", 4, "most of"
             ),
         )
     )
@@ -87,12 +87,46 @@ def test_initials_and_trailing_deletion():
 
 def test_hidden_across_words():
     node = n.parse_wordplay("[fo]UND ERMINE D[eer] (hides)")
-    assert node == n.Hidden("found ermine deer", "hides", "UNDERMINED")
+    assert node == n.Hidden("found ermine deer", "hides", "UNDERMINED", 2)
 
 
 def test_hidden_within_single_word():
     node = n.parse_wordplay("[w]ASTE[r] (partly)")
-    assert node == n.Hidden("waster", "partly", "ASTE")
+    assert node == n.Hidden("waster", "partly", "ASTE", 1)
+
+
+def test_inner_deletion_keeps_its_bracketed_position():
+    node = n.parse_wordplay("BAN[a]NA")
+    assert node == n.Deletion(n.Literal("BANANA"), "A", 3, "")
+    assert n.surface_letters(node) == "BANNA"
+    assert n.render_wordplay(node) == "BAN[a]NA"
+    assert n.indicator_action(node) is None
+
+
+def test_hidden_keeps_its_bracketed_occurrence():
+    annotation = "[a]AA A[aa] (hides)"
+    node = n.parse_wordplay(annotation)
+    assert node == n.Hidden("aaa aaa", "hides", "AAA", 1)
+    assert n.render_wordplay(node) == annotation
+    request = ProofRequest(
+        clue=Clue(surface="aaa aaa", pattern=Pattern.parse("3")),
+        candidate_answer="AAA",
+        definition="aaa aaa",
+        wordplay=annotation,
+    )
+    concats = [
+        [part.value for part in statement.lhs.parts]
+        for statement in compile_wordplay(node, request).statements
+        if isinstance(statement, AssertEquality) and isinstance(statement.lhs, Concat)
+    ]
+    assert concats == [["AA", "A"]]
+
+
+def test_notes_after_a_plus_do_not_attach_backwards():
+    with pytest.raises(n.ParseError, match="removal note without a deletion"):
+        n.parse_wordplay("[c]RAVEN + -'c'")
+    with pytest.raises(n.ParseError):
+        n.parse_wordplay("[c]RAVEN + (-fly away)")
 
 
 def test_homophone_with_origin_and_indicator():
@@ -293,9 +327,20 @@ def test_mismatched_removal_note_is_rejected():
 
 def test_deletion_validation():
     with pytest.raises(ValueError):
-        n.Deletion(n.Literal("RAVEN"), "C", n.DeletionKind.FIRST, "")
+        n.Deletion(n.Literal("RAVEN"), "C", 0, "")
     with pytest.raises(ValueError):
-        n.Deletion(n.Literal("AB"), "AB", n.DeletionKind.FIRST, "")
+        n.Deletion(n.Literal("AB"), "AB", 0, "")
+    with pytest.raises(ValueError):
+        n.Deletion(n.Literal("BANANA"), "A", 2, "")
+    with pytest.raises(ValueError):
+        n.Deletion(n.Literal("BANANA"), "A", -1, "")
+
+
+def test_hidden_validation():
+    with pytest.raises(ValueError):
+        n.Hidden("banana", "", "ANA", 2)
+    with pytest.raises(ValueError):
+        n.Hidden("banana", "", "ANA", -3)
 
 
 def test_sequence_validation():
@@ -349,21 +394,12 @@ reversals = st.builds(n.Reversal, leaves, st.one_of(st.just(""), words))
 def deletions(draw):
     source = draw(leaves)
     letters = source.letters
-    kind = draw(st.sampled_from(list(n.DeletionKind)))
-    if kind is n.DeletionKind.INNER and len(letters) < 3:
-        kind = n.DeletionKind.FIRST
-    if kind is n.DeletionKind.FIRST:
-        removed = letters[: draw(st.integers(1, len(letters) - 1))]
-    elif kind is n.DeletionKind.LAST:
-        count = draw(st.integers(1, len(letters) - 1))
-        if len(letters) - count == 1 and count > 1:
-            count = 1  # a single kept letter reads as an initial instead
-        removed = letters[len(letters) - count :]
-    else:
-        i = draw(st.integers(1, len(letters) - 2))
-        j = draw(st.integers(i + 1, len(letters) - 1))
-        removed = letters[i:j]
-    return n.Deletion(source, removed, kind, draw(st.one_of(st.just(""), words)))
+    start = draw(st.integers(0, len(letters) - 1))
+    end = draw(st.integers(start + 1, len(letters) - (start == 0)))
+    if start == 1 and end == len(letters):
+        start = end - 1  # "A[bc]" reads as an initial, so delete one last letter
+    removed = letters[start:end]
+    return n.Deletion(source, removed, start, draw(st.one_of(st.just(""), words)))
 
 
 # Two-letter words are left out: "A[a]" reads as a deletion, not an initial.
@@ -392,7 +428,7 @@ def hiddens(draw):
         start, end = 1, total - 1
     letters = "".join(host_words).upper()[start:end]
     indicator = draw(st.one_of(st.just(""), indicator_for(ActionKind.SUBSTRING)))
-    return n.Hidden(" ".join(host_words), indicator, letters)
+    return n.Hidden(" ".join(host_words), indicator, letters, start)
 
 
 homophones = st.builds(
