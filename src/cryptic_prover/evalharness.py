@@ -353,7 +353,9 @@ def _keep_recorded_attempts(path: Path, recorded: set[tuple[str, int]]) -> None:
     A crash after a resumed clue's attempts were appended and before its
     records were leaves attempts of slots the next resume runs again, and
     maybe a partial last line; both go, so the file replays the recorded
-    slots once each.  A file with nothing to cut is left as it is.
+    slots once each.  A file with nothing to cut is left as it is.  The cut
+    is written beside the file and renamed over it, so a crash during the
+    write keeps the header and every recorded attempt.
     """
     data = path.read_bytes()
     lines = data[: data.rfind(b"\n") + 1].split(b"\n")[:-1]
@@ -367,7 +369,9 @@ def _keep_recorded_attempts(path: Path, recorded: set[tuple[str, int]]) -> None:
         if slot in recorded:
             kept.append(line)
     if len(kept) < len(lines) or not data.endswith(b"\n"):
-        path.write_bytes(b"".join(line + b"\n" for line in kept))
+        partial = path.with_name(path.name + ".tmp")
+        partial.write_bytes(b"".join(line + b"\n" for line in kept))
+        os.replace(partial, path)
 
 
 def _append_records(path: Union[str, Path], records: Iterable[SolveRecord]) -> None:

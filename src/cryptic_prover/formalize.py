@@ -607,6 +607,9 @@ class HttpChatGenerator:
             except requests.RequestException as error:
                 raise GeneratorUnavailable(str(error)) from None
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
-            raise GeneratorUnavailable("malformed completion payload") from None
+            content = None
+        if not isinstance(content, str):  # a null or list content is no reply either
+            raise GeneratorUnavailable("malformed completion payload")
+        return content

@@ -39,6 +39,14 @@ a deletion keeps before, removes and keeps after), ``hidden_pieces``
 searches for a position the annotation already stated.  The parser, the
 renderer, the resolver and ``formalize.compile_wordplay`` all read these.
 
+The parser has four layers.  ``_tokenize`` splits the text into words,
+parenthesised groups, quotes and sigils.  Word shapes become units, and
+``_classify_group`` reads a group as commentary, a nested annotation, or
+glosses, abbreviation markers and signifiers.  ``_assemble`` attaches each
+group to its unit: a gloss rewrites the leaf (``_rewrite_leaf``) and a
+signifier fills the empty indicator of a node whose action it suits.
+``_resolve_structure`` joins the units at container connectors.
+
 Which bare phrases are signifiers (``(hides)``, ``around``) and which
 short glosses are abbreviations comes from an ``oracles.Lexicon``:
 ``parse_wordplay(annotation, lexicon)`` and ``render_wordplay(node,
@@ -51,7 +59,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from cryptic_prover.core import ActionKind, normalize_letters, phonetic_key
 from cryptic_prover.oracles import Lexicon, seed_lexicon
@@ -149,7 +157,12 @@ class Initials:
 
 @dataclass(frozen=True)
 class Hidden:
-    """``letters`` found at index ``start`` of the host's letters."""
+    """``letters`` found at index ``start`` of the host's letters.
+
+    Only a run the brackets can write is accepted: inside a one-word host
+    with a bracketed letter on each side (``[w]ASTE[r]``), or across a
+    longer host from its first word to its last (``[fo]UND ERMINE D[eer]``).
+    """
 
     host_text: str
     indicator: str
@@ -159,9 +172,20 @@ class Hidden:
     def __post_init__(self):
         _require_caps(self.letters, "Hidden letters")
         host = normalize_letters(self.host_text)
-        if self.start < 0 or host[self.start : self.start + len(self.letters)] != self.letters:
+        end = self.start + len(self.letters)
+        if self.start < 0 or host[self.start : end] != self.letters:
             raise ValueError(
                 f"{self.letters!r} is not at index {self.start} of {self.host_text!r}"
+            )
+        words = [normalize_letters(word) for word in self.host_text.split()]
+        if len(words) == 1:
+            writable = 0 < self.start and end < len(host)
+        else:
+            writable = self.start <= len(words[0]) and end >= len(host) - len(words[-1])
+        if not writable:
+            raise ValueError(
+                f"{self.letters!r} at index {self.start} of {self.host_text!r} "
+                "cannot be written with brackets"
             )
 
 
@@ -438,44 +462,39 @@ _Item = Union[_Unit, _Word, _CSig]
 _ABBREV_MARKERS = {"short form", "abbreviation", "abbrev", "abbr", "for short", "short for"}
 _GLUE_WORDS = {"of", "to", "on", "a", "an", "the", "and", "it", "is", "for"}
 _CONTAINER_ACTIONS = {ActionKind.GOES_INSIDE, ActionKind.GOES_OUTSIDE}
+# The actions a prefixed signifier names: ``(*shredded)`` an anagram,
+# ``(<returned)`` a reversal and ``(-dropped)`` any deletion, whose
+# ``indicator_action`` is None when it is inner.
+_PREFIX_ACTIONS = {
+    "*": {ActionKind.ANAGRAM},
+    "<": {ActionKind.REVERSE},
+    "-": {ActionKind.REMOVE_FIRST, ActionKind.REMOVE_LAST, None},
+}
+
+
+def _rewrite_leaf(
+    node: WordplayNode, rewrite: Callable[[WordplayNode], Optional[WordplayNode]]
+) -> Optional[WordplayNode]:
+    """Rewrite the leaf under any anagram, reversal or deletion; None if ``rewrite`` declines."""
+    if isinstance(node, (Anagram, Reversal, Deletion)):
+        sub = _rewrite_leaf(node.source, rewrite)
+        return dataclasses.replace(node, source=sub) if sub is not None else None
+    return rewrite(node)
 
 
 def _wrap_gloss(node: WordplayNode, phrase: str, abbrev: bool, lexicon: Lexicon) -> Optional[WordplayNode]:
     """Attach an origin gloss to the innermost bare Literal, if there is one."""
-    if isinstance(node, Literal):
-        if abbrev or (len(node.letters) <= 3 and node.letters in lexicon.short_forms(phrase)):
-            return AbbrevOf(phrase, node.letters)
-        return SynonymOf(phrase, node.letters)
-    if isinstance(node, (Anagram, Reversal, Deletion)):
-        sub = _wrap_gloss(node.source, phrase, abbrev, lexicon)
-        return dataclasses.replace(node, source=sub) if sub is not None else None
-    if isinstance(node, Homophone) and not node.origin and not abbrev:
-        return dataclasses.replace(node, origin=phrase)
-    return None
 
+    def gloss(leaf: WordplayNode) -> Optional[WordplayNode]:
+        if isinstance(leaf, Literal):
+            if abbrev or (len(leaf.letters) <= 3 and leaf.letters in lexicon.short_forms(phrase)):
+                return AbbrevOf(phrase, leaf.letters)
+            return SynonymOf(phrase, leaf.letters)
+        if isinstance(leaf, Homophone) and not leaf.origin and not abbrev:
+            return dataclasses.replace(leaf, origin=phrase)
+        return None
 
-def _mark_abbrev(node: WordplayNode) -> Optional[WordplayNode]:
-    if isinstance(node, SynonymOf):
-        return AbbrevOf(node.phrase, node.letters)
-    if isinstance(node, (Anagram, Reversal, Deletion)):
-        sub = _mark_abbrev(node.source)
-        return dataclasses.replace(node, source=sub) if sub is not None else None
-    return None
-
-
-def _set_indicator(node: WordplayNode, text: str, wanted: Optional[set[ActionKind]]) -> Optional[WordplayNode]:
-    """Set an empty indicator slot when the signifier suits the node's action.
-
-    ``wanted`` is None for a ``(-...)`` removal signifier, which suits any
-    deletion.
-    """
-    if wanted is None:
-        suits = isinstance(node, Deletion)
-    else:
-        suits = indicator_action(node) in wanted
-    if suits and getattr(node, "indicator", None) == "":
-        return dataclasses.replace(node, indicator=text)
-    return None
+    return _rewrite_leaf(node, gloss)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +503,7 @@ def _set_indicator(node: WordplayNode, text: str, wanted: Optional[set[ActionKin
 
 @dataclass
 class _Group:
-    kind: str  # "dd" | "commentary" | "unit" | "parts"
+    kind: str  # "commentary" | "unit" | "parts"
     parts: list[tuple] = dataclasses.field(default_factory=list)
     node: Optional[WordplayNode] = None
     pos: int = 0
@@ -493,9 +512,9 @@ class _Group:
 def _classify_group(token: _Token, lexicon: Lexicon, full: str) -> _Group:
     content = token.text.strip()
     if content == "DD":
-        return _Group("dd", pos=token.pos)
+        raise ParseError("unexpected DD marker", full, token.pos)
     if "(" in content:
-        node = _parse_text(content, full, token.pos + 1, lexicon)
+        node = _assemble(_tokenize(content, full, token.pos + 1), full, lexicon)
         return _Group("unit", node=node, pos=token.pos)
 
     raw_parts = [p.strip() for p in content.split(",") if p.strip()]
@@ -510,23 +529,17 @@ def _classify_group(token: _Token, lexicon: Lexicon, full: str) -> _Group:
         if not part:
             continue
         if part[0] in "\"“”" and part[-1] in "\"“”" and len(part) >= 3:
-            roles.append(("homo_ind", part[1:-1]))
+            roles.append(("sig", part[1:-1], {ActionKind.HOMOPHONE}))
             continue
-        if part.startswith("*"):
-            roles.append(("sig", part[1:].strip(), {ActionKind.ANAGRAM}))
-            continue
-        if part.startswith("<"):
-            roles.append(("sig", part[1:].strip(), {ActionKind.REVERSE}))
-            continue
-        if part.startswith("-"):
-            roles.append(("sig", part[1:].strip(), None))
+        if part[0] in _PREFIX_ACTIONS:
+            roles.append(("sig", part[1:].strip(), _PREFIX_ACTIONS[part[0]]))
             continue
         if any(_is_caps(w) for w in part.split()):
             roles.append(("commentary", part))
             continue
         actions = lexicon.actions(part)
         if actions:
-            roles.append(("table_sig", part, set(actions)))
+            roles.append(("sig", part, set(actions)))
             continue
         if part.casefold() in _ABBREV_MARKERS:
             roles.append(("abbrev", part))
@@ -537,13 +550,12 @@ def _classify_group(token: _Token, lexicon: Lexicon, full: str) -> _Group:
     return _Group("parts", parts=roles, pos=token.pos)
 
 
-def _is_container_sig(group: _Group) -> bool:
+def _container_sig(group: _Group) -> Optional[str]:
+    """The text of a group whose one live part signifies only containment."""
     live = [r for r in group.parts if r[0] != "commentary"]
-    return (
-        len(live) == 1
-        and live[0][0] == "table_sig"
-        and live[0][2] <= _CONTAINER_ACTIONS
-    )
+    if len(live) == 1 and live[0][0] == "sig" and live[0][2] <= _CONTAINER_ACTIONS:
+        return live[0][1]
+    return None
 
 
 def _apply_group(
@@ -566,27 +578,20 @@ def _apply_group(
             node = wrapped
             glossed = True
             continue
-        if kind == "homo_ind":
-            if isinstance(node, Homophone) and node.indicator == "":
-                node = dataclasses.replace(node, indicator=role[1])
-                continue
-            return False
-        # "sig" and "table_sig" both carry (kind, text, wanted-actions)
+        # A signifier: ("sig", text, the actions it may signify).
         text, wanted = role[1], role[2]
-        if (
-            kind == "table_sig"
-            and ActionKind.INITIALS in wanted
-            and isinstance(node, Initials)
-            and node.indicator == ""
-        ):
+        if ActionKind.INITIALS in wanted and isinstance(node, Initials) and node.indicator == "":
             node = _merge_initials_run(unit, node, text, items, boundary)
             continue
-        updated = _set_indicator(node, text, wanted)
-        if updated is None:
+        # It fills an empty indicator slot of a node whose action it suits.
+        if indicator_action(node) not in wanted or getattr(node, "indicator", None) != "":
             return False
-        node = updated
+        node = dataclasses.replace(node, indicator=text)
     if abbrev and not glossed:
-        marked = _mark_abbrev(node)
+        marked = _rewrite_leaf(
+            node,
+            lambda syn: AbbrevOf(syn.phrase, syn.letters) if isinstance(syn, SynonymOf) else None,
+        )
         if marked is None:
             return False
         node = marked
@@ -718,10 +723,6 @@ def _operand_node(content: str, full: str, base: int, lexicon: Lexicon) -> Wordp
     return _assemble(tokens, full, lexicon)
 
 
-def _parse_text(text: str, full: str, base: int, lexicon: Lexicon) -> WordplayNode:
-    return _assemble(_tokenize(text, full, base), full, lexicon)
-
-
 def _is_double_definition(text: str, tokens: list[_Token]) -> bool:
     if text.strip().casefold() in ("dd", "double definition"):
         return True
@@ -773,17 +774,11 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             if nxt is not None and nxt.kind in ("STAR", "LT"):
                 source = _operand_node(token.text, full, token.pos + 1, lexicon)
-                node: WordplayNode
-                if nxt.kind == "STAR":
-                    node = Anagram(source, "")
-                else:
-                    node = Reversal(source, "")
+                node = (Anagram if nxt.kind == "STAR" else Reversal)(source, "")
                 new_unit(_Unit(node, token.pos))
                 i += 2
                 continue
             group = _classify_group(token, lexicon, full)
-            if group.kind == "dd":
-                raise ParseError("unexpected DD marker", full, token.pos)
             if group.kind == "commentary":
                 i += 1
                 continue
@@ -791,16 +786,16 @@ def _assemble(tokens: list[_Token], full: str, lexicon: Lexicon) -> WordplayNode
                 new_unit(_Unit(group.node, token.pos))
                 i += 1
                 continue
-            if _is_container_sig(group):
-                live = [r for r in group.parts if r[0] != "commentary"]
-                items.append(_CSig(live[0][1], token.pos))
+            sig = _container_sig(group)
+            if sig is not None:
+                items.append(_CSig(sig, token.pos))
                 i += 1
                 continue
             last = previous_unit()
             if last is not None and _apply_group(last, group, lexicon, items, boundary):
                 i += 1
                 continue
-            if all(r[0] in ("sig", "table_sig", "homo_ind", "commentary") for r in group.parts):
+            if all(r[0] in ("sig", "commentary") for r in group.parts):
                 pending.append(group)
                 i += 1
                 continue
@@ -892,58 +887,31 @@ def _resolve_structure(items: list[_Item], full: str, lexicon: Lexicon) -> Wordp
             if found & _CONTAINER_ACTIONS:
                 phrase, actions, span = " ".join(w.text for w in window), found, width
                 break
-        fold = item.text.casefold()
-
-        if phrase is not None and ActionKind.GOES_OUTSIDE in actions:
+        if phrase is not None:
+            # "L around R" wraps L around R and "L in R" puts L inside R.  In
+            # "R L around it", "it" is the operand before L.
+            inserted = ActionKind.GOES_OUTSIDE not in actions
             after = i + span
-            if (
-                after < len(items)
+            wraps_it = (
+                not inserted
+                and after < len(items)
                 and isinstance(items[after], _Word)
                 and items[after].text.casefold() == "it"
-            ):
-                if len(nodes) < 2:
-                    raise ParseError("nothing for the container to wrap", full, item.pos)
-                outer, outer_marker = nodes.pop()
-                inner, _ = nodes.pop()
-                nodes.append(
-                    (
-                        Container(outer, inner, phrase, outer_marker or 1, inserted=False),
-                        None,
-                    )
-                )
-                i = after + 1
-                continue
+            )
+            if wraps_it and len(nodes) < 2:
+                raise ParseError("nothing for the container to wrap", full, item.pos)
             if not nodes:
                 raise ParseError("container connector without left operand", full, item.pos)
-            inner_unit, after_unit = next_unit(after)
-            outer, outer_marker = nodes.pop()
-            nodes.append(
-                (
-                    Container(outer, inner_unit.node, phrase, outer_marker or 1, inserted=False),
-                    None,
-                )
-            )
-            i = after_unit
+            if wraps_it:
+                right, i = nodes.pop(-2), after + 1
+            else:
+                right_unit, i = next_unit(after)
+                right = (right_unit.node, right_unit.split_marker)
+            left = nodes.pop()
+            (outer, marker), (inner, _) = (right, left) if inserted else (left, right)
+            nodes.append((Container(outer, inner, phrase, marker or 1, inserted), None))
             continue
-        if phrase is not None and ActionKind.GOES_INSIDE in actions:
-            if not nodes:
-                raise ParseError("container connector without left operand", full, item.pos)
-            outer_unit, after_unit = next_unit(i + span)
-            inner, _ = nodes.pop()
-            nodes.append(
-                (
-                    Container(
-                        outer_unit.node,
-                        inner,
-                        phrase,
-                        outer_unit.split_marker or 1,
-                        inserted=True,
-                    ),
-                    None,
-                )
-            )
-            i = after_unit
-            continue
+        fold = item.text.casefold()
         if fold == "with" or fold in _GLUE_WORDS:
             i += 1
             continue
@@ -1065,12 +1033,6 @@ def _render_homophone(node: Homophone) -> str:
     return text
 
 
-def _operand_text(node: WordplayNode, lexicon: Lexicon) -> str:
-    if isinstance(node, Literal):
-        return node.letters
-    return render_wordplay(node, lexicon)
-
-
 def render_wordplay(node: WordplayNode, lexicon: Optional[Lexicon] = None) -> str:
     """Render a node tree in canonical notation; parse_wordplay inverts it.
 
@@ -1082,10 +1044,10 @@ def render_wordplay(node: WordplayNode, lexicon: Optional[Lexicon] = None) -> st
     if isinstance(node, (Literal, SynonymOf, AbbrevOf)):
         return _leaf_text(node)
     if isinstance(node, Anagram):
-        text = f"({_operand_text(node.source, lexicon)})*"
+        text = f"({render_wordplay(node.source, lexicon)})*"
         return f"{text} (*{node.indicator})" if node.indicator else text
     if isinstance(node, Reversal):
-        text = f"({_operand_text(node.source, lexicon)})<"
+        text = f"({render_wordplay(node.source, lexicon)})<"
         return f"{text} (<{node.indicator})" if node.indicator else text
     if isinstance(node, Deletion):
         return _render_deletion(node)

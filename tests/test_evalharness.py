@@ -3,6 +3,8 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, settings
@@ -739,6 +741,51 @@ class TestRunExperiment:
             for r in records
         }
         assert data == (clean / "tr" / name).read_bytes()
+
+    def test_a_crash_while_cutting_a_transcript_keeps_its_recorded_attempts(
+        self, tmp_path, monkeypatch, eight_clues, lexicon, table, wordlist
+    ):
+        clue = eight_clues[0]
+        tr = tmp_path / "tr"
+        path = tr / f"{evalharness._slug(clue.clue_id)}.jsonl"
+
+        def run(samples, resume):
+            return self.run(
+                [clue],
+                lexicon,
+                table,
+                wordlist,
+                samples_per_candidate=samples,
+                results_path=tmp_path / "results.jsonl",
+                transcripts_dir=tr,
+                resume=resume,
+            )
+
+        run(1, False)
+        recorded = path.read_bytes()  # the header and the attempts of every record
+        # A resume that crashes before its records leaves stray attempts to cut.
+        monkeypatch.setattr(evalharness, "_append_records", Mock(side_effect=OSError("disk full")))
+        with pytest.raises(OSError, match="disk full"):
+            run(2, True)
+        monkeypatch.undo()
+
+        write_bytes = Path.write_bytes
+
+        def write_half_then_crash(self, data):
+            if self.parent != tr:
+                return write_bytes(self, data)
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError("power cut")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_crash)
+        with pytest.raises(OSError, match="power cut"):
+            run(2, True)
+        monkeypatch.undo()
+        assert path.read_bytes().startswith(recorded)
+
+        records = run(2, True)
+        assert len(records) == 4
+        assert [p.name for p in tr.iterdir()] == [path.name]
 
     def test_a_reply_holding_a_lone_surrogate_is_saved_and_replays(
         self, tmp_path, eight_clues, lexicon, table, wordlist

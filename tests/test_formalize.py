@@ -857,17 +857,21 @@ class TestHttpGenerator:
 
     def test_malformed_payload_becomes_unavailable(self, monkeypatch):
         monkeypatch.setenv("CRYPTIC_PROVER_API_KEY", "k-123")
+        payloads = [
+            {"unexpected": True},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": [{"type": "text", "text": "proof"}]}}]},
+        ]
+        for payload in payloads:
 
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
+            class FakeResponse:
+                def raise_for_status(self):
+                    pass
 
-            def json(self):
-                return {"unexpected": True}
+                def json(self):
+                    return payload
 
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse()
-        )
-        generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
-        with pytest.raises(GeneratorUnavailable, match="malformed"):
-            generator.generate("hello")
+            monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse())
+            generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
+            with pytest.raises(GeneratorUnavailable, match="malformed"):
+                generator.generate("hello")

@@ -9,7 +9,13 @@ hidden answers and split containers.  Two outputs of that list are pinned:
 * ``proofs.txt``: for each annotation, ``render_proof(compile_wordplay(...))``
   with the annotation's own letters as the candidate answer.
 
-Regenerate both with ``PYTHONPATH=src python tests/test_golden_notation.py``
+``broken.txt`` holds near misses of those annotations: each one cut before
+each space and with each space-separated word dropped, without repeats or
+annotations of the list.  Some still parse and most do not; the stdout and
+stderr of ``cryptic-prover parse --json --file broken.txt`` (exit 2) are
+pinned as ``broken.jsonl`` and ``broken.err``.
+
+Regenerate all of these with ``PYTHONPATH=src python tests/test_golden_notation.py``
 and review the diff.  CI runs this file under two ``PYTHONHASHSEED`` values.
 """
 
@@ -20,6 +26,7 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
+import pytest
 from cryptic_prover.cli import main
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.formalize import ProofRequest, UnsupportedNode, compile_wordplay
@@ -29,10 +36,23 @@ from cryptic_prover.verifier import render_proof
 
 GOLDEN = Path(__file__).parent / "golden" / "notation"
 ANNOTATIONS = GOLDEN / "annotations.txt"
+BROKEN = GOLDEN / "broken.txt"
 
 
 def annotations() -> list[str]:
     return [line for line in ANNOTATIONS.read_text(encoding="utf-8").split("\n") if line]
+
+
+def broken_annotations() -> str:
+    """Every annotation cut before each space and with each word dropped, once each."""
+    golden = annotations()
+    broken: dict[str, None] = {}
+    for annotation in golden:
+        words = annotation.split(" ")
+        cuts = [annotation[:i] for i, ch in enumerate(annotation) if ch == " "]
+        drops = [" ".join(words[:i] + words[i + 1 :]) for i in range(len(words))]
+        broken.update(dict.fromkeys(cuts + drops))
+    return "".join(f"{line}\n" for line in broken if line and line not in golden)
 
 
 def parse_output() -> str:
@@ -41,6 +61,15 @@ def parse_output() -> str:
         code = main(["parse", "--json", "--file", str(ANNOTATIONS)])
     assert code == 0
     return out.getvalue()
+
+
+def broken_output() -> tuple[str, str]:
+    """The stdout and stderr of ``parse --json`` on ``broken.txt``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["parse", "--json", "--file", str(BROKEN)])
+    assert code == 2
+    return out.getvalue(), err.getvalue()
 
 
 def proof_output() -> str:
@@ -67,7 +96,14 @@ def proof_output() -> str:
     return "\n".join(blocks) + "\n"
 
 
-OUTPUTS = {"parse.jsonl": parse_output, "proofs.txt": proof_output}
+# broken.txt comes first: the two outputs after it are made from it.
+OUTPUTS = {
+    "parse.jsonl": parse_output,
+    "proofs.txt": proof_output,
+    "broken.txt": broken_annotations,
+    "broken.jsonl": lambda: broken_output()[0],
+    "broken.err": lambda: broken_output()[1],
+}
 
 
 def first_difference(produced: str, golden: Path) -> Optional[str]:
@@ -79,10 +115,25 @@ def first_difference(produced: str, golden: Path) -> Optional[str]:
     return None
 
 
-def test_parse_output_matches_the_golden_file(monkeypatch):
+@pytest.fixture
+def default_config(monkeypatch):
+    """No ``CRYPTIC_PROVER_*`` variable changes what ``parse`` prints."""
     for name in [name for name in os.environ if name.startswith("CRYPTIC_PROVER_")]:
         monkeypatch.delenv(name)
+
+
+def test_parse_output_matches_the_golden_file(default_config):
     assert first_difference(parse_output(), GOLDEN / "parse.jsonl") is None
+
+
+def test_broken_annotations_are_the_near_misses_of_the_golden_list():
+    assert first_difference(broken_annotations(), BROKEN) is None
+
+
+def test_malformed_annotations_match_the_golden_files(default_config):
+    stdout, stderr = broken_output()
+    assert first_difference(stdout, GOLDEN / "broken.jsonl") is None
+    assert first_difference(stderr, GOLDEN / "broken.err") is None
 
 
 def test_compiled_proofs_match_the_golden_file():

@@ -343,6 +343,18 @@ def test_hidden_validation():
         n.Hidden("banana", "", "ANA", -3)
 
 
+def test_hidden_rejects_a_run_the_brackets_cannot_write():
+    with pytest.raises(ValueError, match="cannot be written"):
+        n.Hidden("waster", "partly", "WAST", 0)  # would render WAST[er]
+    with pytest.raises(ValueError, match="cannot be written"):
+        n.Hidden("waster", "partly", "STER", 2)  # would render [wa]STER
+    with pytest.raises(ValueError, match="cannot be written"):
+        n.Hidden("aaa aaa", "", "A", 4)  # starts past the first word
+    with pytest.raises(ValueError, match="cannot be written"):
+        n.Hidden("aaa aaa", "", "A", 1)  # ends before the last word
+    assert n.Hidden("aaa aaa", "hides", "AAA", 3).start == 3  # [aaa] AAA
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         n.Sequence((n.Literal("AB"),))
@@ -474,6 +486,44 @@ def test_parse_inverts_render(node):
 def test_surface_letters_is_stable_under_round_trip(node):
     again = n.parse_wordplay(n.render_wordplay(node))
     assert n.surface_letters(again) == n.surface_letters(node)
+
+
+def _unchecked_hidden(host_text, letters, start):
+    """A Hidden node built without its checks, so that any start can be rendered."""
+    node = object.__new__(n.Hidden)
+    fields = {"host_text": host_text, "indicator": "hides", "letters": letters, "start": start}
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    return node
+
+
+@st.composite
+def hidden_runs(draw):
+    """A host of one to three words and any run of its letters."""
+    host_words = draw(
+        st.lists(st.text(alphabet="abc", min_size=1, max_size=4), min_size=1, max_size=3)
+    )
+    host = "".join(host_words).upper()
+    start = draw(st.integers(0, len(host) - 1))
+    end = draw(st.integers(start + 1, len(host)))
+    return " ".join(host_words), host[start:end], start
+
+
+@given(hidden_runs())
+@settings(max_examples=300, deadline=None)
+def test_hidden_accepts_exactly_the_runs_that_round_trip(run):
+    host_text, letters, start = run
+    try:
+        n.Hidden(host_text, "hides", letters, start)
+        accepted = True
+    except ValueError:
+        accepted = False
+    node = _unchecked_hidden(host_text, letters, start)
+    try:
+        round_trips = n.parse_wordplay(n.render_wordplay(node)) == node
+    except ValueError:
+        round_trips = False
+    assert accepted == round_trips, n.render_wordplay(node)
 
 
 @given(hiddens())
