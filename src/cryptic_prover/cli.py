@@ -264,22 +264,24 @@ def _tree_lines(tree: dict, depth=0) -> list[str]:
 
 
 def cmd_parse(config: CliConfig, args) -> int:
-    annotations = []
+    annotations = []  # (line number in --file, or None; annotation)
     if args.file:
-        annotations = [line for line in lexfiles.read_lines(args.file) if line.strip()]
+        lines = enumerate(lexfiles.read_lines(args.file), start=1)
+        annotations = [(number, line) for number, line in lines if line.strip()]
     if args.annotation:
-        annotations.append(args.annotation)
+        annotations.append((None, args.annotation))
     if not annotations:
         print("nothing to parse: give an annotation or --file", file=sys.stderr)
         return 2
 
     lexicon = config.lexicon()
     status = 0
-    for annotation in annotations:
+    for number, annotation in annotations:
         try:
             node = parse_wordplay(annotation, lexicon)
         except ParseError as error:
-            print(f"parse error: {error}", file=sys.stderr)
+            where = "" if number is None else f"line {number}: "
+            print(f"parse error: {where}{error}", file=sys.stderr)
             status = 2
             continue
         letters = surface_letters(node)

@@ -6,7 +6,10 @@ number of samples, through the generate/verify/rewrite loop.  Every run
 becomes one SolveRecord whose ``rewrites`` is the number of rewrites a
 successful proof needed (0..5) or ``"FAIL"``.  A clue's runs share one
 verdict memo, so a reply any of them already had verified is not
-verified again; verdicts are never shared between clues.
+verified again; verdicts are never shared between clues.  A candidate
+that no clue-edge span defines (``verifier.definable``, asked once per
+clue and candidate) cannot be proved by any reply, so its runs are
+recorded as ``"FAIL"`` without a generator call or a transcript line.
 
 Records aggregate per candidate three ways: number of completed proofs
 (higher is better), fewest rewrites of any solve (lower is better, 6
@@ -51,6 +54,7 @@ from cryptic_prover.formalize import (
 )
 from cryptic_prover.lexfiles import RecordError, json_lines
 from cryptic_prover.oracles import Lexicon
+from cryptic_prover.verifier import definable
 
 log = logging.getLogger(__name__)
 
@@ -405,7 +409,11 @@ def run_experiment(
     slot ``(clue_id, is_ground_truth, sample_index)``.  No decoy
     available, an annotation or request that cannot be made (LookupError
     or ValueError) and a generator outage become FAIL records carrying
-    the reason; any other error propagates.  With ``resume``, records
+    the reason; any other error propagates.  A candidate for which
+    ``verifier.definable`` is false, asked once per clue and candidate
+    after its first request is made, gets FAIL records with an empty
+    reason and no generator call: the verifier's NO_DEFINITION_CHECK
+    lint fails every proof of it.  With ``resume``, records
     already in ``results_path`` are kept and only the slots they leave
     empty are run; the decoy search runs only for a clue with an empty
     decoy slot, so a changed word list or table can give a resumed
@@ -414,9 +422,10 @@ def run_experiment(
     byte-stable results files matter.  With ``transcripts_dir``, a clue's
     attempts go to ``<slug of its id>.jsonl``, written afresh when none of
     its slots were filled and appended to when a resumed clue fills more,
-    after cutting the attempts of slots without a record; two ids with one
-    slug would share that file, so such a pair is a ClueSetError before
-    any solve.
+    after cutting the attempts of slots without a record; a slot the
+    pre-check skipped has a record and no attempt lines.  Two ids with
+    one slug would share that file, so such a pair is a ClueSetError
+    before any solve.
     """
     if samples_per_candidate < 1:
         raise ValueError("samples_per_candidate must be at least 1")
@@ -474,6 +483,7 @@ def run_experiment(
         # One verdict memo per clue, used only by the thread solving it.
         verdicts: Verdicts = {}
         solves = []  # (request, transcript) of each solve, for the transcript file
+        provable: dict[str, bool] = {}  # candidate -> definable(), asked once each
 
         def solve(candidate: str, is_truth: bool, sample: int) -> SolveRecord:
             try:
@@ -486,13 +496,18 @@ def run_experiment(
                     sample_index=sample,
                 )
             except (LookupError, ValueError) as error:
-                rewrites, reason = FAIL, f"{type(error).__name__}: {error}"
-            else:
-                transcript = prove_with_rewrites(
-                    request, generator, lexicon, max_calls=max_generator_calls, verdicts=verdicts
-                )
-                solves.append((request, transcript))
-                rewrites, reason = transcript.rewrites_used, transcript.failure_reason
+                reason = f"{type(error).__name__}: {error}"
+                return SolveRecord(clue.clue_id, candidate, is_truth, sample, FAIL, reason)
+            if candidate not in provable:
+                provable[candidate] = definable(clue.surface, candidate, lexicon)
+            if not provable[candidate]:
+                # No reply can prove it, so no generator call is spent on it.
+                return SolveRecord(clue.clue_id, candidate, is_truth, sample, FAIL)
+            transcript = prove_with_rewrites(
+                request, generator, lexicon, max_calls=max_generator_calls, verdicts=verdicts
+            )
+            solves.append((request, transcript))
+            rewrites, reason = transcript.rewrites_used, transcript.failure_reason
             return SolveRecord(clue.clue_id, candidate, is_truth, sample, rewrites, reason)
 
         batch = []

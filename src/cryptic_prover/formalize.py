@@ -14,7 +14,8 @@ Two routes produce a proof for a (clue, candidate answer) pair:
   ``generate(prompt) -> str`` method) to write the script, verifies the
   result, and on failure feeds the failure report back for another try.
   An initial draft plus at most five rewrites are allowed; after that
-  the request is recorded as a failure.
+  the request is recorded as a failure.  A reply proves only the answer,
+  clue and pattern its header names, so a reply naming others fails.
 
 Prompts are assembled from data files in a fixed order: rubric
 preamble, annotated wordplay examples, the declarations of the checking
@@ -35,7 +36,8 @@ memo; optionally spoils its first few answers, which exercises the
 loop), ``ScriptedReplayMock`` (plays back canned responses, e.g.
 from a saved transcript), and ``HttpChatGenerator`` (a chat-completion
 HTTP client, enabled only when its API key environment variable is
-set).
+set, which sends the static prompt prefix as a separate, cacheable
+system message).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from cryptic_prover import dataset, lexfiles, notation
 from cryptic_prover.core import (
     ActionKind,
     Clue,
+    Pattern,
     normalize_letters,
     pattern_matches,
 )
@@ -79,6 +82,7 @@ from cryptic_prover.verifier import (
     Call,
     Concat,
     Expr,
+    Failure,
     ProofScript,
     ProofStatus,
     Statement,
@@ -88,7 +92,7 @@ from cryptic_prover.verifier import (
     render_failure_report,
     render_proof,
     render_statement,
-    verify_text,
+    verify_reply,
 )
 
 
@@ -107,8 +111,13 @@ _COUNT_WORDS = "zero one two three four five six seven eight nine ten".split()
 # Rewrites a proof needed, 0..MAX_GENERATOR_CALLS - 1, or FAIL.
 Rewrites = Union[int, str]
 
-# Reply text -> (outcome, failure report, empty when proved).
-Verdicts = MutableMapping[str, tuple[VerificationOutcome, str]]
+# The answer (as normalised letters), clue and pattern a proof header names.
+Header = tuple[str, str, str]
+
+# Reply text -> (the header it names, None when it does not parse; its
+# outcome; its failure report, empty when proved).  No part depends on the
+# request, so the requests for a clue's candidates can share one memo.
+Verdicts = MutableMapping[str, tuple[Optional[Header], VerificationOutcome, str]]
 
 
 def check_rewrites(value: Rewrites) -> None:
@@ -156,13 +165,34 @@ class ProofRequest:
         )
         return render_proof(header).rstrip("\n")
 
+    @cached_property
+    def header(self) -> Header:
+        """What a reply's proof header must name to answer this request."""
+        return _header(self.candidate_answer, self.clue.surface, self.clue.pattern)
+
+
+def _header(answer: str, clue: str, pattern: Pattern) -> Header:
+    return normalize_letters(answer), clue, pattern.render()
+
+
+def _unanswered(named: Header, asked: Header) -> Failure:
+    """The failure of a reply whose header names another answer, clue or pattern."""
+    differences = [
+        f"the reply has {field}={got!r}, the request {field}={want!r}"
+        for field, got, want in zip(("answer", "clue", "pattern"), named, asked)
+        if got != want
+    ]
+    return Failure(-1, "assert the proof header matches the request", "; ".join(differences))
+
 
 @dataclass(frozen=True)
 class Attempt:
     prompt: str
     response: str
     outcome: VerificationOutcome
-    failure_report: str  # rendered once per distinct reply; empty when proved
+    # Rendered once per distinct reply, or once per attempt for a reply
+    # whose header names another request; empty when proved.
+    failure_report: str
 
 
 @dataclass(frozen=True)
@@ -371,10 +401,13 @@ def prove_with_rewrites(
     """Draft, verify, and rewrite until proved or out of attempts.
 
     ``max_calls`` may be lowered (a tighter rewrite cap) but never
-    raised past the published budget of six.  A reply already in
-    ``verdicts`` is not verified again: its outcome and failure report
-    are reused, which is exact because verification is a pure function
-    of the script and the lexicon.  Each new verdict is added to it.
+    raised past the published budget of six.  A reply whose proof header
+    names another answer, clue or pattern than the request fails, its
+    report saying so first, whatever the proof itself proves.  A reply
+    already in ``verdicts`` is not verified again: its header, outcome
+    and failure report are reused, which is exact because verification
+    is a pure function of the script and the lexicon; only the header
+    check is made per request.  Each new verdict is added to it.
     ``None`` gives this request a memo of its own; a caller that passes
     one mapping to several requests (``run_experiment`` passes one per
     clue) must verify all of them against the same ``lexicon``.
@@ -393,10 +426,16 @@ def prove_with_rewrites(
         except GeneratorUnavailable as error:
             return GeneratorTranscript(tuple(attempts), FAIL, failure_reason=str(error))
         if response not in verdicts:
-            outcome = verify_text(response, lexicon)
+            proof, outcome = verify_reply(response, lexicon)
+            named = None if proof is None else _header(proof.answer, proof.clue, proof.pattern)
             proved = outcome.status is ProofStatus.PROVED
-            verdicts[response] = (outcome, "" if proved else render_failure_report(outcome))
-        attempt = Attempt(prompt, response, *verdicts[response])
+            verdicts[response] = (named, outcome, "" if proved else render_failure_report(outcome))
+        named, outcome, report = verdicts[response]
+        if named is not None and named != request.header:
+            failures = (_unanswered(named, request.header),) + outcome.failures
+            outcome = VerificationOutcome(ProofStatus.FAILED, failures, outcome.lints)
+            report = render_failure_report(outcome)
+        attempt = Attempt(prompt, response, outcome, report)
         attempts.append(attempt)
         if attempt.outcome.status is ProofStatus.PROVED:
             return GeneratorTranscript(tuple(attempts), index)
@@ -562,7 +601,13 @@ class ScriptedReplayMock:
 
 
 class HttpChatGenerator:
-    """Chat-completion HTTP client, gated on an API key variable."""
+    """Chat-completion HTTP client, gated on an API key variable.
+
+    A prompt that starts with the static prompt prefix is sent as two
+    messages: the prefix as a ``system`` message, the same bytes on every
+    call so a provider can cache it, and the rest as the ``user`` message.
+    Any other prompt is sent whole as the ``user`` message.
+    """
 
     def __init__(
         self,
@@ -586,10 +631,15 @@ class HttpChatGenerator:
             raise GeneratorUnavailable(
                 f"no API key: set {self.api_key_env} to use the HTTP generator"
             )
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-        }
+        prefix = _prompt_prefix()
+        if prompt.startswith(prefix):
+            messages = [
+                {"role": "system", "content": prefix},
+                {"role": "user", "content": prompt[len(prefix) :]},
+            ]
+        else:
+            messages = [{"role": "user", "content": prompt}]
+        payload = {"model": self.model, "messages": messages}
         if self.temperature is not None:
             payload["temperature"] = self.temperature
         import requests  # only a live run pays for importing the HTTP stack

@@ -909,7 +909,12 @@ def _resolve_structure(items: list[_Item], full: str, lexicon: Lexicon) -> Wordp
                 right = (right_unit.node, right_unit.split_marker)
             left = nodes.pop()
             (outer, marker), (inner, _) = (right, left) if inserted else (left, right)
-            nodes.append((Container(outer, inner, phrase, marker or 1, inserted), None))
+            try:
+                container = Container(outer, inner, phrase, marker or 1, inserted)
+            except ValueError as error:  # an outer part too short to wrap anything
+                message = f"container cannot split its outer part: {error}"
+                raise ParseError(message, full, item.pos) from None
+            nodes.append((container, None))
             continue
         fold = item.text.casefold()
         if fold == "with" or fold in _GLUE_WORDS:

@@ -42,11 +42,15 @@ generator repeats within one clue only once (``verdicts`` in
 Verification never raises on a well-formed proof: every false
 assertion becomes a failure entry carrying a near-miss hint, and the
 whole list is collected before judgement so one rewrite can fix
-several problems at once.  Four lint checks catch degenerate proofs:
-``NO_ASSERTIONS`` and ``NEGATED_ASSERT_CHEAT`` are fatal,
-``DISCONNECTED_CHAIN`` and ``UNUSED_CLUE_TOKENS`` only warn.  The
-failure report format is frozen byte for byte (golden files in the
-test suite), because generators consume it verbatim when rewriting.
+several problems at once.  Five lint checks catch degenerate proofs:
+``NO_ASSERTIONS``, ``NEGATED_ASSERT_CHEAT`` and ``NO_DEFINITION_CHECK``
+are fatal, ``DISCONNECTED_CHAIN`` and ``UNUSED_CLUE_TOKENS`` only warn.
+``NO_DEFINITION_CHECK`` demands ``is_synonym(phrase, answer)`` with a
+phrase from ``definition_spans`` of the clue that is not the answer's
+own letters, so ``definable`` (the same lookups, made before any proof
+exists) tells whether any proof of an answer can prove.  The failure
+report format is frozen byte for byte (golden files in the test suite),
+because generators consume it verbatim when rewriting.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ class LintKind(Enum):
     NEGATED_ASSERT_CHEAT = auto()
     DISCONNECTED_CHAIN = auto()
     UNUSED_CLUE_TOKENS = auto()
+    NO_DEFINITION_CHECK = auto()
 
 
 class Severity(Enum):
@@ -155,7 +160,9 @@ class Severity(Enum):
     WARN = auto()
 
 
-_FATAL_KINDS = frozenset({LintKind.NO_ASSERTIONS, LintKind.NEGATED_ASSERT_CHEAT})
+_FATAL_KINDS = frozenset(
+    {LintKind.NO_ASSERTIONS, LintKind.NEGATED_ASSERT_CHEAT, LintKind.NO_DEFINITION_CHECK}
+)
 
 
 @dataclass(frozen=True)
@@ -661,13 +668,29 @@ def verify(proof: ProofScript, lexicon: Lexicon) -> VerificationOutcome:
     if not proof.statements:
         lints.append(LintFlag(LintKind.NO_ASSERTIONS, "proof contains no assert statements"))
     else:
-        if answer_letters and not any(
-            _mentions(statement, answer_letters) for statement in proof.statements
-        ):
+        spans = set(definition_spans(proof.clue))
+        defined_by = [_defining_phrase(s, spans, answer_letters) for s in proof.statements]
+        # Every definition check names the answer; the chain is connected
+        # only when a second phrase (a double definition) or a wordplay step does.
+        connected = len(set(filter(None, defined_by))) >= 2 or any(
+            _mentions(statement, answer_letters)
+            for statement, phrase in zip(proof.statements, defined_by)
+            if phrase is None
+        )
+        if answer_letters and not connected:
             lints.append(
                 LintFlag(
                     LintKind.DISCONNECTED_CHAIN,
-                    f"no assertion mentions the answer '{proof.answer}'",
+                    "no assertion other than a definition check mentions the answer "
+                    f"'{proof.answer}'",
+                )
+            )
+        if not any(defined_by):
+            lints.append(
+                LintFlag(
+                    LintKind.NO_DEFINITION_CHECK,
+                    "no is_synonym assertion ties a phrase at the start or end of "
+                    f"the clue to '{proof.answer}'",
                 )
             )
         unused = _unused_clue_words(proof)
@@ -689,12 +712,19 @@ def verify_text(script: str, lexicon: Lexicon) -> VerificationOutcome:
 
     A script wrapped in one Markdown code fence is checked as its body.
     """
+    return verify_reply(script, lexicon)[1]
+
+
+def verify_reply(
+    script: str, lexicon: Lexicon
+) -> tuple[Optional[ProofScript], VerificationOutcome]:
+    """``verify_text``'s outcome, after the proof it parsed (None when it did not)."""
     try:
         proof = parse_proof(_unfence(script))
     except ParseError as error:
         failure = Failure(index=-1, message=str(error), hint="")
-        return VerificationOutcome(ProofStatus.PARSE_ERROR, (failure,), ())
-    return verify(proof, lexicon)
+        return None, VerificationOutcome(ProofStatus.PARSE_ERROR, (failure,), ())
+    return proof, verify(proof, lexicon)
 
 
 def _unfence(script: str) -> str:
@@ -793,16 +823,80 @@ def _statement_words(statement: Statement) -> set[str]:
     return words
 
 
+def _clue_word(raw: str) -> str:
+    """A clue word as the lints read it: casefolded, without edge
+    punctuation, a possessive ``'s`` or apostrophes; may be empty."""
+    word = raw.replace("’", "'").casefold().strip("\"'.,;:!?()[]{}-")
+    if word.endswith("'s"):
+        word = word[:-2]
+    return word.replace("'", "")
+
+
+def definition_spans(surface: str) -> tuple[str, ...]:
+    """The phrases a definition check may put to the answer, without repeats.
+
+    Each word-aligned prefix and suffix of the clue surface, shortest
+    first, is given casefolded twice: with its words as ``_clue_word``
+    reads them, and as the clue writes them.  A phrase qualifies when its
+    ``strip().casefold()`` is one of these, which is the very key
+    ``Lexicon.is_synonym`` looks up, so ``definable`` asks the lexicon
+    about every phrase a proof could use.
+    """
+    written = surface.casefold().split()
+    spans: dict[str, None] = {}
+    for width in range(1, len(written) + 1):
+        for words in (written[:width], written[-width:]):
+            spans[" ".join(filter(None, map(_clue_word, words)))] = None
+            spans[" ".join(words)] = None
+    spans.pop("", None)
+    return tuple(spans)
+
+
+def definable(surface: str, answer: str, lexicon: Lexicon) -> bool:
+    """Whether some proof of ``answer`` for this clue could pass ``NO_DEFINITION_CHECK``.
+
+    True when a clue-edge span that is not the answer's own letters is a
+    recorded synonym of it.  A proved proof asserts exactly such a lookup
+    (``is_synonym`` with a pattern only adds a condition), so when this
+    is false no proof of ``answer`` for this clue can prove.
+    """
+    letters = normalize_letters(answer)
+    return any(
+        normalize_letters(span) != letters and lexicon.is_synonym(span, answer).ok
+        for span in definition_spans(surface)
+    )
+
+
+def _defining_phrase(
+    statement: Statement, spans: set[str], answer_letters: str
+) -> Optional[str]:
+    """The clue-edge span a definition check puts to the answer, else None.
+
+    A definition check is ``is_synonym`` of a span and the answer, the
+    span not being the answer itself.
+    """
+    if not (isinstance(statement, AssertPredicate) and statement.name == "is_synonym"):
+        return None
+    phrase, candidate = statement.args
+    key = phrase.strip().casefold()
+    # Casefolding can change letters ('ẞ' has none, 'ss' two), so the
+    # phrase must spell the answer neither as written nor as looked up.
+    if (
+        key in spans
+        and normalize_letters(candidate) == answer_letters
+        and answer_letters not in (normalize_letters(phrase), normalize_letters(key))
+    ):
+        return key
+    return None
+
+
 def _unused_clue_words(proof: ProofScript) -> list[str]:
     used: set[str] = set()
     for statement in proof.statements:
         used.update(_statement_words(statement))
     unused: list[str] = []
-    for raw in proof.clue.replace("’", "'").casefold().split():
-        word = raw.strip("\"'.,;:!?()[]{}-")
-        if word.endswith("'s"):
-            word = word[:-2]
-        word = word.replace("'", "")
+    for raw in proof.clue.split():
+        word = _clue_word(raw)
         if len(word) < 2 or word in _LINK_WORDS:
             continue
         if word not in used and word not in unused:

@@ -61,6 +61,19 @@ class TestParse:
         assert lines[0].startswith("CORSET\t")
         assert lines[1].startswith("CAMERA\t")
 
+    def test_file_mode_errors_name_their_line_and_later_lines_still_parse(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "wordplays.txt"
+        path.write_text("O in V\n\nRA (artist\n(corset)* (*shredded)\n", encoding="utf-8")
+        assert main(["parse", "--json", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert errors[0].startswith("parse error: line 1: container cannot split its outer part")
+        assert errors[1].startswith("parse error: line 3: unclosed parenthesis")
+        assert len(errors) == 2
+        assert json.loads(captured.out)["letters"] == "CORSET"
+
     def test_file_lines_end_at_newline_only(self, tmp_path, capsys):
         path = tmp_path / "wordplays.txt"
         path.write_text("CAME (arrived\u2028) + RA (artist)\r\n", encoding="utf-8")

@@ -36,6 +36,7 @@ from cryptic_prover.evalharness import (
 )
 from cryptic_prover.formalize import MAX_GENERATOR_CALLS, CompilerBackedMock
 from cryptic_prover.oracles import seed_lexicon
+from cryptic_prover.verifier import definable
 
 rewrites_values = st.one_of(st.integers(0, 5), st.just(FAIL))
 
@@ -59,6 +60,28 @@ def wordlist():
 def worked_clues():
     docs = dataset.load_puzzles(lexfiles.seed_path("fixtures/worked_examples.yaml"))
     return [clue for doc in docs for clue in doc.clues]
+
+
+# A clue-edge span of each fixture clue glossing its decoy, other than the
+# braced definition the decoy's own wordplay glosses it with: each decoy
+# then passes the definition pre-check and spends all its calls failing.
+DECOY_GLOSSES = (
+    ("corset", "camera"),
+    ("outlaw", "curtain"),
+    ("about", "blind"),
+    ("away", "blind"),
+    ("window covering", "bonce"),
+    ("found", "sabotaging"),
+    ("we hear", "clip"),
+    ("returned", "royal"),
+    ("beings", "blind"),
+    ("arrived", "corset"),
+)
+
+
+@pytest.fixture(scope="module")
+def decoy_lexicon(seed_lexicon_with):
+    return seed_lexicon_with(*DECOY_GLOSSES)
 
 
 @pytest.fixture(scope="module")
@@ -615,13 +638,46 @@ class TestRunExperiment:
                 eight_clues[:1], lexicon, table, wordlist, generator=BrokenGenerator()
             )
 
+    def test_a_candidate_no_clue_edge_defines_costs_no_generator_call(
+        self, tmp_path, monkeypatch, eight_clues, lexicon, table, wordlist
+    ):
+        asked = []
+
+        def counting_definable(surface, candidate, lex):
+            asked.append((surface, candidate))
+            return definable(surface, candidate, lex)
+
+        monkeypatch.setattr(evalharness, "definable", counting_definable)
+        generator = CompilerBackedMock()
+        clues = eight_clues[:2]
+        records = self.run(
+            clues,
+            lexicon,
+            table,
+            wordlist,
+            generator=generator,
+            samples_per_candidate=3,
+            transcripts_dir=tmp_path / "tr",
+        )
+        # Asked once per (clue, candidate), not once per sample.
+        by_id = {clue.clue_id: clue.surface for clue in clues}
+        assert sorted(asked) == sorted({(by_id[r.clue_id], r.candidate) for r in records})
+        decoys = [r for r in records if not r.is_ground_truth]
+        assert len(decoys) == 6
+        assert all(r.rewrites == FAIL and r.reason == "" for r in decoys)
+        assert generator.calls == 6  # the gold samples' first drafts only
+        for clue in clues:
+            path = tmp_path / "tr" / f"{evalharness._slug(clue.clue_id)}.jsonl"
+            _, *lines = map(json.loads, path.read_bytes().splitlines())
+            assert [line["candidate"] for line in lines] == [clue.gold_answer] * 3
+
     def test_transcripts_are_saved_per_clue(
-        self, tmp_path, eight_clues, lexicon, table, wordlist
+        self, tmp_path, eight_clues, decoy_lexicon, table, wordlist
     ):
         outdir = tmp_path / "transcripts"
         records = self.run(
             eight_clues[:2],
-            lexicon,
+            decoy_lexicon,
             table,
             wordlist,
             samples_per_candidate=2,
@@ -639,14 +695,14 @@ class TestRunExperiment:
         assert len(list(outdir.iterdir())) == 2
 
     def test_a_resume_appends_to_each_clue_transcript(
-        self, tmp_path, eight_clues, lexicon, table, wordlist
+        self, tmp_path, eight_clues, decoy_lexicon, table, wordlist
     ):
         outdir = tmp_path / "transcripts"
 
         def run(samples, resume):
             return self.run(
                 eight_clues[:2],
-                lexicon,
+                decoy_lexicon,
                 table,
                 wordlist,
                 samples_per_candidate=samples,
@@ -694,7 +750,7 @@ class TestRunExperiment:
         assert [path.name for path in outdir.iterdir()] == [name]
 
     def test_a_crash_before_a_resumed_clues_records_leaves_no_stray_attempts(
-        self, tmp_path, monkeypatch, eight_clues, lexicon, table, wordlist
+        self, tmp_path, monkeypatch, eight_clues, decoy_lexicon, table, wordlist
     ):
         clue = eight_clues[0]
         name = f"{evalharness._slug(clue.clue_id)}.jsonl"
@@ -702,7 +758,7 @@ class TestRunExperiment:
         def run(directory, samples, resume):
             return self.run(
                 [clue],
-                lexicon,
+                decoy_lexicon,
                 table,
                 wordlist,
                 samples_per_candidate=samples,
@@ -788,7 +844,7 @@ class TestRunExperiment:
         assert [p.name for p in tr.iterdir()] == [path.name]
 
     def test_a_reply_holding_a_lone_surrogate_is_saved_and_replays(
-        self, tmp_path, eight_clues, lexicon, table, wordlist
+        self, tmp_path, eight_clues, decoy_lexicon, table, wordlist
     ):
         # json.loads makes a lone surrogate of a "\\ud800" escape in a reply.
         reply = "assert x\n# \ud800\n"
@@ -801,7 +857,7 @@ class TestRunExperiment:
         results = tmp_path / "results.jsonl"
         records = self.run(
             eight_clues[:2],
-            lexicon,
+            decoy_lexicon,
             table,
             wordlist,
             generator=SurrogateReplies(),
@@ -816,7 +872,7 @@ class TestRunExperiment:
             responses = formalize.load_transcript_responses(path)
             assert responses == [reply] * 2 * MAX_GENERATOR_CALLS
             replay = formalize.ScriptedReplayMock.from_transcript(path)
-            again = self.run([clue], lexicon, table, wordlist, generator=replay,
+            again = self.run([clue], decoy_lexicon, table, wordlist, generator=replay,
                              samples_per_candidate=1)
             assert again == [r for r in records if r.clue_id == clue.clue_id]
 
@@ -844,27 +900,27 @@ class TestRunExperiment:
 
     @pytest.fixture
     def verifications(self, monkeypatch):
-        """The replies verify_text checked and the outcomes reported, in order."""
+        """The replies verify_reply checked and the outcomes reported, in order."""
         verified, reported = [], []
-        verify_text, render_failure_report = formalize.verify_text, formalize.render_failure_report
+        verify_reply, render_failure_report = formalize.verify_reply, formalize.render_failure_report
 
         def counting_verify(script, lex):
             verified.append(script)
-            return verify_text(script, lex)
+            return verify_reply(script, lex)
 
         def counting_report(outcome):
             reported.append(outcome)
             return render_failure_report(outcome)
 
-        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        monkeypatch.setattr(formalize, "verify_reply", counting_verify)
         monkeypatch.setattr(formalize, "render_failure_report", counting_report)
         return verified, reported
 
     def test_a_clue_verifies_each_distinct_reply_once(
-        self, verifications, worked_clues, lexicon, table, wordlist
+        self, verifications, worked_clues, decoy_lexicon, table, wordlist
     ):
         verified, reported = verifications
-        records = self.run(worked_clues, lexicon, table, wordlist, samples_per_candidate=5)
+        records = self.run(worked_clues, decoy_lexicon, table, wordlist, samples_per_candidate=5)
         assert len(records) == 100
         # Each clue's gold reply proves and its decoy reply fails, five
         # samples each: one verification per reply and one report per decoy.
@@ -872,11 +928,11 @@ class TestRunExperiment:
         assert len(reported) == 10
 
     def test_verdicts_are_not_shared_between_clues(
-        self, verifications, eight_clues, lexicon, table, wordlist
+        self, verifications, eight_clues, decoy_lexicon, table, wordlist
     ):
         verified, _ = verifications
         twin = replace(eight_clues[0], clue_id=eight_clues[0].clue_id + "-twin")
-        self.run([eight_clues[0], twin], lexicon, table, wordlist, samples_per_candidate=3)
+        self.run([eight_clues[0], twin], decoy_lexicon, table, wordlist, samples_per_candidate=3)
         assert len(verified) == 4
         assert len(set(verified)) == 2
 

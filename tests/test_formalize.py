@@ -16,6 +16,7 @@ import requests
 from cryptic_prover import dataset, formalize, lexfiles, notation
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.formalize import (
+    FAIL,
     MAX_GENERATOR_CALLS,
     Attempt,
     CompilerBackedMock,
@@ -42,6 +43,7 @@ from cryptic_prover.verifier import (
     render_failure_report,
     render_proof,
     verify,
+    verify_reply,
     verify_text,
 )
 
@@ -130,32 +132,34 @@ class TestCompile:
         assert "hidden_span('found ermine deer', 'UNDERMINED') == 'UNDERMINED'" in text
         assert "assert 'UND' + 'ERMINE' + 'D' == 'UNDERMINED'" in text
 
-    def test_hidden_splits_at_the_bracketed_occurrence(self, lexicon):
+    def test_hidden_splits_at_the_bracketed_occurrence(self, seed_lexicon_with):
         # The first ANA in "ANANAX" lies inside "anan"; the brackets mark
         # the one that runs into "ax".
         annotation = "[an]AN A[x] (hides)"
         request = ProofRequest(
             clue=Clue(surface="Banana axe hides answer", pattern=Pattern.parse("3")),
             candidate_answer="ANA",
-            definition="Banana axe hides answer",
+            definition="Banana axe hides {answer}",
             wordplay=annotation,
         )
         proof = compile_wordplay(notation.parse_wordplay(annotation), request)
         assert "assert 'AN' + 'A' == 'ANA'" in render_proof(proof).splitlines()
+        lexicon = seed_lexicon_with(("answer", "ana"))
         assert verify(proof, lexicon).status is ProofStatus.PROVED
 
-    def test_reversal_reverses_the_letters_its_operand_resolved_to(self, lexicon):
+    def test_reversal_reverses_the_letters_its_operand_resolved_to(self, seed_lexicon_with):
         # The anagram resolves to ESCORT; reversing its unpermuted CORSET
         # would not give the answer.
         annotation = "((corset)* (*shredded))< (<back)"
         request = ProofRequest(
-            clue=Clue(surface="Shredded corset back", pattern=Pattern.parse("6")),
+            clue=Clue(surface="Shredded corset back, gibberish", pattern=Pattern.parse("6")),
             candidate_answer="TROCSE",
-            definition="Shredded corset back",
+            definition="Shredded corset back, {gibberish}",
             wordplay=annotation,
         )
         proof = compile_wordplay(notation.parse_wordplay(annotation), request)
         assert "assert reverse('ESCORT') == 'TROCSE'" in render_proof(proof).splitlines()
+        lexicon = seed_lexicon_with(("gibberish", "trocse"))
         assert verify(proof, lexicon).status is ProofStatus.PROVED
 
     def test_homophone_asserts_origin_indicator_and_sound(self):
@@ -401,13 +405,13 @@ class TestRewriteLoop:
 
         def counting_verify(script, lex):
             verified.append(script)
-            return verify_text(script, lex)
+            return verify_reply(script, lex)
 
         def counting_report(outcome):
             reported.append(outcome)
             return render_failure_report(outcome)
 
-        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        monkeypatch.setattr(formalize, "verify_reply", counting_verify)
         monkeypatch.setattr(formalize, "render_failure_report", counting_report)
         request = request_for(CAMERA)
         transcript = prove_with_rewrites(request, ScriptedReplayMock(replies), lexicon)
@@ -433,9 +437,9 @@ class TestRewriteLoop:
 
         def counting_verify(script, lex):
             verified.append(script)
-            return verify_text(script, lex)
+            return verify_reply(script, lex)
 
-        monkeypatch.setattr(formalize, "verify_text", counting_verify)
+        monkeypatch.setattr(formalize, "verify_reply", counting_verify)
         verdicts = {}
         request = request_for(CAMERA)
         first = prove_with_rewrites(request, CompilerBackedMock(), lexicon, verdicts=verdicts)
@@ -445,6 +449,42 @@ class TestRewriteLoop:
         assert verified == [reply, reply]
         assert list(verdicts) == [reply]
         assert first == again == alone
+
+    def test_a_gold_proof_replayed_for_the_decoy_fails_in_a_shared_memo(self, lexicon):
+        escort = next(clue for clue in worked_clues() if clue.gold_answer == "ESCORT")
+        gold = request_for(escort)
+        decoy = ProofRequest(escort, "CAMERA", escort.gold_definition, "CAMERA (Chaperone)")
+        reply = render_proof(compile_clue(escort))
+        for order in ((gold, decoy), (decoy, gold)):
+            verdicts = {}
+            transcripts = {
+                request.candidate_answer: prove_with_rewrites(
+                    request, ScriptedReplayMock([reply] * 6), lexicon, verdicts=verdicts
+                )
+                for request in order
+            }
+            assert list(verdicts) == [reply]  # verified once, for both requests
+            assert transcripts["ESCORT"].rewrites_used == 0
+            assert transcripts["CAMERA"].rewrites_used == FAIL
+            for attempt in transcripts["CAMERA"].attempts:
+                assert attempt.outcome.status is ProofStatus.FAILED
+                assert attempt.failure_report.startswith(
+                    "AssertionError: assert the proof header matches the request : "
+                    "the reply has answer='ESCORT', the request answer='CAMERA'\n"
+                )
+
+    def test_a_reply_for_another_clue_or_pattern_fails(self, lexicon):
+        reply = render_proof(compile_clue(CAMERA))
+        moved = replace(CAMERA, surface=CAMERA.surface + "!", gold_definition=None)
+        longer = replace(CAMERA, pattern=Pattern.parse("3,3"), gold_definition=None)
+        for clue, field in ((moved, "clue"), (longer, "pattern")):
+            transcript = prove_with_rewrites(
+                request_for(clue), ScriptedReplayMock([reply] * 6), lexicon
+            )
+            assert transcript.rewrites_used == FAIL
+            first = transcript.attempts[0].failure_report.splitlines()[0]
+            assert first.startswith("AssertionError: assert the proof header matches the request")
+            assert f"the reply has {field}=" in first and "answer=" not in first
 
     def test_mock_spoils_exactly_fail_first_replies_across_threads(self):
         generator = CompilerBackedMock(fail_first=40)
@@ -843,6 +883,35 @@ class TestHttpGenerator:
         assert seen["payload"]["messages"] == [{"role": "user", "content": "hello"}]
         assert seen["headers"]["Authorization"] == "Bearer k-123"
         assert seen["timeout"] == 9.0
+
+    def test_the_static_prefix_goes_as_a_system_message(self, monkeypatch):
+        monkeypatch.setenv("CRYPTIC_PROVER_API_KEY", "k-123")
+        payloads = []
+
+        class FakeResponse:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": "proof text"}}]}
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            payloads.append(json)
+            return FakeResponse()
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        generator = HttpChatGenerator("https://example.invalid/v1", "tiny")
+        draft = build_prompt(request_for(CAMERA))
+        rewrite = build_prompt(request_for(CAMERA), "AssertionError: x\n", "proof answer=...")
+        for prompt in (draft, rewrite):
+            assert generator.generate(prompt) == "proof text"
+        prefix = formalize._prompt_prefix()
+        for payload, prompt in zip(payloads, (draft, rewrite)):
+            system, user = payload["messages"]
+            assert system == {"role": "system", "content": prefix}
+            assert user["role"] == "user"
+            assert system["content"] + user["content"] == prompt
+        assert user["content"].startswith(request_for(CAMERA).block)
 
     def test_transport_errors_become_unavailable(self, monkeypatch):
         monkeypatch.setenv("CRYPTIC_PROVER_API_KEY", "k-123")

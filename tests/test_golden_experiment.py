@@ -3,8 +3,10 @@
 ``golden/experiment/results.jsonl`` is the ``results.jsonl`` of
 ``cryptic-prover experiment --clues worked_examples.yaml --transcripts tr``
 with the mock generator and the default 5 samples.  The 10 transcripts,
-one per clue (580 KB), are pinned by ``golden/experiment/transcripts.sha256``,
-one ``sha256  file name`` line each, in the format ``sha256sum`` writes.
+one per clue (91 KB; no decoy is defined at a clue edge, so each file holds
+its gold answer's attempts only), are pinned by
+``golden/experiment/transcripts.sha256``, one ``sha256  file name`` line
+each, in the format ``sha256sum`` writes.
 
 CI runs this file under two ``PYTHONHASHSEED`` values, so output that
 depends on set or dict-of-set iteration order fails here.

@@ -300,6 +300,12 @@ def test_parse_error_reports_position_and_prefix():
     assert err.value.matched_prefix == "BAN (outlaw) "
 
 
+def test_a_container_whose_outer_part_has_one_letter_is_a_parse_error():
+    for annotation in ("O in V", "V around O", "O (x) in V (y)"):
+        with pytest.raises(n.ParseError, match="container cannot split its outer part"):
+            n.parse_wordplay(annotation)
+
+
 def test_unclosed_group_is_rejected():
     with pytest.raises(n.ParseError):
         n.parse_wordplay("BAN (outlaw")

@@ -4,12 +4,12 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cryptic_prover import lexfiles, verifier
-from cryptic_prover.core import ActionKind, normalize_letters
-from cryptic_prover.oracles import seed_lexicon
+from cryptic_prover import dataset, formalize, lexfiles, notation, verifier
+from cryptic_prover.core import ActionKind, Pattern, normalize_letters
+from cryptic_prover.oracles import Lexicon, seed_lexicon
 from cryptic_prover.verifier import (
     AssertEquality,
     AssertNegation,
@@ -22,7 +22,10 @@ from cryptic_prover.verifier import (
     ProofStatus,
     Severity,
     StringLit,
+    ProofScript,
     VerificationOutcome,
+    definable,
+    definition_spans,
     eval_expr,
     parse_proof,
     render_failure_report,
@@ -32,6 +35,7 @@ from cryptic_prover.verifier import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+CHEATS = GOLDEN / "cheats"
 
 ONCE_PROOF = """\
 proof answer="ONCE" clue="head decapitated long ago" pattern="4"
@@ -419,9 +423,10 @@ class TestLints:
 
     def test_negated_equality_is_allowed(self, lex):
         script = (
-            'proof answer="AB" clue="c" pattern="2"\n'
+            'proof answer="ESCORT" clue="Chaperone shredded corset" pattern="6"\n'
             'assert not "A" == "B"\n'
-            'assert "A" + "B" == "AB"\n'
+            'assert is_anagram("corset", "ESCORT")\n'
+            'assert is_synonym("Chaperone", "ESCORT")\n'
         )
         outcome = verify(parse_proof(script), lex)
         assert outcome.status is ProofStatus.PROVED
@@ -429,15 +434,34 @@ class TestLints:
         assert LintKind.NEGATED_ASSERT_CHEAT not in kinds
 
     def test_disconnected_chain_warns_but_proves(self, lex):
+        # Only the definition check reaches the answer; no wordplay does.
         script = (
-            'proof answer="CAMERA" clue="arrived" pattern="6"\n'
+            'proof answer="CAMERA" clue="arrived with an artist, to get optical device" '
+            'pattern="6"\n'
             'assert is_synonym("arrived", "CAME")\n'
+            'assert is_synonym("optical device", "CAMERA")\n'
         )
         outcome = verify(parse_proof(script), lex)
         assert outcome.status is ProofStatus.PROVED
         flags = {flag.kind: flag for flag in outcome.lints}
         assert LintKind.DISCONNECTED_CHAIN in flags
         assert flags[LintKind.DISCONNECTED_CHAIN].severity is Severity.WARN
+
+    def test_a_double_definition_needs_two_phrases(self, lex):
+        header = 'proof answer="BLIND" clue="Not seeing window covering" pattern="5"\n'
+        both = header + (
+            'assert is_synonym("Not seeing", "BLIND")\n'
+            'assert is_synonym("window covering", "BLIND", pattern="5")\n'
+        )
+        twice = header + (
+            'assert is_synonym("Not seeing", "BLIND")\n'
+            'assert is_synonym("not seeing", "BLIND", pattern="5")\n'
+        )
+        for script, disconnected in ((both, False), (twice, True)):
+            outcome = verify(parse_proof(script), lex)
+            assert outcome.status is ProofStatus.PROVED
+            kinds = [flag.kind for flag in outcome.lints]
+            assert (LintKind.DISCONNECTED_CHAIN in kinds) is disconnected
 
     def test_connected_proof_has_no_chain_warning(self, lex):
         outcome = verify(parse_proof(camera_proof_text()), lex)
@@ -710,3 +734,134 @@ def test_tokenizer_matches_the_reference_on_edge_cases(text):
     assert _tokens_or_error(verifier._tokenize, text) == _tokens_or_error(
         _reference_tokenize, text
     )
+
+
+class TestDefinitionCheck:
+    """NO_DEFINITION_CHECK, and the pre-check ``definable`` that it makes sound."""
+
+    def test_spans_are_the_clue_edges_in_normal_form_and_as_written(self):
+        assert definition_spans("Bird is cowardly, about") == (
+            "bird",
+            "about",
+            "bird is",
+            "cowardly about",
+            "cowardly, about",
+            "bird is cowardly",
+            "bird is cowardly,",
+            "is cowardly about",
+            "is cowardly, about",
+            "bird is cowardly about",
+            "bird is cowardly, about",
+        )
+        assert definition_spans("there's") == ("there", "there's")
+
+    def test_the_cheat_corpus_holds_each_cheat(self):
+        assert sorted(path.stem for path in CHEATS.glob("*.proof")) == [
+            "identity_definition",
+            "identity_edge_span",
+            "no_definition",
+            "swapped_answer",
+        ]
+
+    @pytest.mark.parametrize("path", sorted(CHEATS.glob("*.proof")), ids=lambda path: path.stem)
+    def test_each_cheat_fails_on_the_definition_lint_alone(self, path, lex):
+        # Every assertion holds: without the lint each cheat would prove.
+        outcome = verify_text(path.read_text(encoding="utf-8"), lex)
+        assert outcome.status is ProofStatus.FAILED
+        assert outcome.failures == ()
+        fatal = [flag.kind for flag in outcome.lints if flag.severity is Severity.FATAL]
+        assert fatal == [LintKind.NO_DEFINITION_CHECK]
+
+    def test_worked_golds_and_the_packaged_proof_still_prove(self, lex):
+        documents = dataset.load_puzzles(lexfiles.seed_path("fixtures/worked_examples.yaml"))
+        clues = [clue for document in documents for clue in document.clues]
+        assert len(clues) == 10
+        for clue in clues:
+            request = formalize.ProofRequest(
+                clue, clue.gold_answer, clue.gold_definition, clue.gold_wordplay
+            )
+            node = notation.parse_wordplay(clue.gold_wordplay)
+            proof = formalize.compile_wordplay(node, request)
+            assert verify(proof, lex).status is ProofStatus.PROVED, clue.gold_answer
+            assert definable(clue.surface, clue.gold_answer, lex)
+        assert verify_text(camera_proof_text(), lex).status is ProofStatus.PROVED
+
+    def test_definable_needs_a_clue_edge_synonym_other_than_the_answer(self, lex):
+        assert definable("Chaperone shredded corset", "ESCORT", lex)
+        assert not definable("Chaperone shredded corset", "CAMERA", lex)
+        assert not definable("shredded corset, Chaperone?", "CAMERA", lex)
+        assert not definable("Escort, shredded corset", "ESCORT", lex)
+        # A synonym inside the clue is no definition.
+        assert not definable("Shredded chaperone corset", "ESCORT", lex)
+
+    def test_a_definition_may_be_written_as_the_clue_writes_it(self):
+        lexicon = Lexicon(synonyms={"there's": ["THERE"], "fit, for a king": ["REGAL"]})
+        for clue, phrase, answer in [
+            ("Well there's", "There's", "THERE"),
+            ("Beer, fit, for a king", "fit, for a king", "REGAL"),
+        ]:
+            proof = ProofScript(
+                answer=answer,
+                clue=clue,
+                pattern=Pattern.parse(str(len(answer))),
+                statements=(AssertPredicate("is_synonym", (phrase, answer)),),
+            )
+            kinds = [flag.kind for flag in verify(proof, lexicon).lints]
+            assert LintKind.NO_DEFINITION_CHECK not in kinds
+            assert definable(clue, answer, lexicon)
+
+
+# Clue words mixing case, apostrophes, edge punctuation and letters that
+# casefolding changes ('ẞ' and 'ß' fold to 'ss').
+_CLUE_WORD = st.text(alphabet="abSsẞß'’,.(-", min_size=1, max_size=3)
+
+
+@st.composite
+def proofs_with_thesauri(draw):
+    """A proof of is_synonym assertions, and a thesaurus holding some of them."""
+    words = draw(st.lists(_CLUE_WORD, min_size=1, max_size=4))
+    answer = draw(st.text(alphabet="ABS", min_size=1, max_size=3))
+
+    def phrase() -> str:
+        width = draw(st.integers(1, len(words)))
+        part = draw(st.sampled_from([words[:width], words[-width:], words[1:width]]))
+        written = " ".join(part)
+        normal = " ".join(filter(None, map(verifier._clue_word, part)))
+        other = draw(st.text(alphabet="abSsẞ '’,", min_size=1, max_size=5))
+        return draw(st.sampled_from([written, written.upper(), normal, other]))
+
+    statements, thesaurus = [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        text = phrase()
+        candidate = draw(st.sampled_from([answer, answer.lower(), "SS", "AB"]))
+        pattern = draw(st.sampled_from([None, str(len(answer)), "9"]))
+        statements.append(AssertPredicate("is_synonym", (text, candidate), pattern))
+        if draw(st.booleans()):
+            thesaurus.setdefault(text.strip(), []).append(candidate)
+    proof = ProofScript(
+        answer=answer,
+        clue=" ".join(words),
+        pattern=Pattern.parse(str(len(answer))),
+        statements=tuple(statements),
+    )
+    return proof, Lexicon(synonyms=thesaurus)
+
+
+@given(proofs_with_thesauri())
+# 'ẞ' has no letters, but the thesaurus and the spans see it casefolded
+# as 'ss', which spells the answer: no definition either way.
+@example(
+    (
+        ProofScript(
+            answer="SS",
+            clue="ẞ x",
+            pattern=Pattern.parse("2"),
+            statements=(AssertPredicate("is_synonym", ("ẞ", "SS")),),
+        ),
+        Lexicon(synonyms={"ẞ": ["SS"]}),
+    )
+)
+def test_a_proved_proof_passes_the_definition_pre_check(case):
+    proof, lexicon = case
+    if verify(proof, lexicon).status is ProofStatus.PROVED:
+        assert definable(proof.clue, proof.answer, lexicon)
