@@ -20,6 +20,7 @@ import logging
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -151,7 +152,12 @@ class _LengthGroup:
 def _word_index(
     table: EmbeddingTable, wordlist: Iterable[str]
 ) -> dict[int, _LengthGroup]:
-    """The table's index of ``wordlist``, rebuilt when the word list changes."""
+    """The table's index of ``wordlist``, rebuilt when the word list changes.
+
+    The index is kept with the tuple it was built from.  The same tuple
+    again (``tuple`` returns a tuple itself) reuses it at once; any other
+    iterable is compared with it by contents.
+    """
     words = tuple(wordlist)
     cached = table._word_index
     if cached is not None and (cached[0] is words or cached[0] == words):
@@ -189,11 +195,15 @@ def closest_candidates(
     The first search for a word list builds an index on the table: the
     normalised words grouped by letter count, each group sorted and
     stacked with its vectors and their norms.  Later searches with the
-    same word list (compared by contents) score a whole group with one
-    matrix-vector product; a different word list replaces the index.
-    The shortlist within ``_SHORTLIST_MARGIN`` of the k-th best score is
-    rescored with ``cosine``, so results equal a word-by-word scan.  Do
-    not mutate ``table.vectors`` after the first search.
+    same word list score a whole group with one matrix-vector product; a
+    different word list replaces the index.  The word list is keyed first
+    by identity, so passing the tuple ``lexfiles.load_wordlist`` returns
+    costs nothing per search, and then by contents.  The shortlist within
+    ``_SHORTLIST_MARGIN`` of the k-th best score is rescored with
+    ``cosine``, so results equal a word-by-word scan.  A span whose vector
+    is zero scores 0 against every word, so its ranking is the group's
+    alphabetical order and no word is scored.  Do not mutate
+    ``table.vectors`` after the first search.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -211,7 +221,11 @@ def closest_candidates(
             f"only the excluded word {banned!r} fits the pattern {pattern.render()!r}"
         )
     span_vec = table.embed_phrase(definition_span)
-    norms = group.norms * np.linalg.norm(span_vec)
+    span_norm = np.linalg.norm(span_vec)
+    if span_norm == 0.0:
+        allowed = (word for word in words if word != banned)
+        return [(word, 0.0) for word in islice(allowed, k)]
+    norms = group.norms * span_norm
     scores = np.divide(
         group.rows @ span_vec, norms, out=np.zeros(len(words)), where=norms != 0.0
     )

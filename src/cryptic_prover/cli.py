@@ -42,8 +42,10 @@ from cryptic_prover.evalharness import (
     tabulate,
 )
 from cryptic_prover.formalize import (
+    FAIL,
     MAX_GENERATOR_CALLS,
     CompilerBackedMock,
+    GeneratorTranscript,
     HttpChatGenerator,
     ProofRequest,
     ScriptedReplayMock,
@@ -52,7 +54,12 @@ from cryptic_prover.formalize import (
 )
 from cryptic_prover.notation import ParseError, parse_wordplay, surface_letters
 from cryptic_prover.oracles import Lexicon
-from cryptic_prover.verifier import ProofStatus, render_failure_report, verify_text
+from cryptic_prover.verifier import (
+    ProofStatus,
+    definable,
+    render_failure_report,
+    verify_text,
+)
 
 ENV_PREFIX = "CRYPTIC_PROVER_"
 
@@ -350,9 +357,18 @@ def cmd_formalize(config: CliConfig, args) -> int:
         return 2
 
     lexicon = config.lexicon()
-    transcript = prove_with_rewrites(
-        request, config.make_generator(lexicon), lexicon, max_calls=config.rewrite_cap + 1
-    )
+    generator = config.make_generator(lexicon)
+    if definable(request.clue.surface, request.candidate_answer, lexicon):
+        transcript = prove_with_rewrites(
+            request, generator, lexicon, max_calls=config.rewrite_cap + 1
+        )
+    else:
+        # NO_DEFINITION_CHECK would fail every reply, so no generator call is made.
+        reason = (
+            "definition pre-check: no clue-edge span is a synonym of "
+            f"{request.candidate_answer!r}, so no proof of it can pass NO_DEFINITION_CHECK"
+        )
+        transcript = GeneratorTranscript((), FAIL, failure_reason=reason)
     if args.transcript:
         save_transcript([(request, transcript)], config.out_path(args.transcript))
 

@@ -461,6 +461,8 @@ def run_experiment(
     recorded: dict[str, set[tuple[str, int]]] = {}
     for r in existing:
         recorded.setdefault(r.clue_id, set()).add((r.candidate, r.sample_index))
+    # tuple() returns a tuple as it is, so the loader's word list keeps the
+    # identity its decoy index is keyed by.
     wordlist = tuple(wordlist)
 
     def solve_clue(clue: Clue) -> list[SolveRecord]:

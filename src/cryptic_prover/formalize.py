@@ -202,7 +202,9 @@ class GeneratorTranscript:
     ``rewrites_used`` is the index of the proved attempt (0 means the
     first draft passed), or the string ``"FAIL"``.  A transcript may
     fail short of six attempts only when the generator itself became
-    unavailable, in which case ``failure_reason`` says why.
+    unavailable, or holds none when no reply could prove the candidate
+    (``cryptic-prover formalize``'s definition pre-check), in which case
+    ``failure_reason`` says why.
     """
 
     attempts: tuple[Attempt, ...]

@@ -167,13 +167,12 @@ def load_homophones(path: str | Path) -> set[frozenset[str]]:
     return pairs
 
 
-def load_wordlist(path: str | Path) -> list[str]:
-    """Candidate words as normalised letters, file order, duplicates dropped."""
-    seen = set()
-    words = []
-    for _, line in _data_lines(path):
-        word = normalize_letters(line)
-        if word and word not in seen:
-            seen.add(word)
-            words.append(word)
-    return words
+def load_wordlist(path: str | Path) -> tuple[str, ...]:
+    """Candidate words as normalised letters, file order, duplicates dropped.
+
+    A tuple, so a decoy search given it again can tell by identity that its
+    index (``candidates.closest_candidates``) still fits.
+    """
+    words = dict.fromkeys(normalize_letters(line) for _, line in _data_lines(path))
+    words.pop("", None)
+    return tuple(words)

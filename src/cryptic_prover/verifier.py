@@ -843,11 +843,12 @@ def definition_spans(surface: str) -> tuple[str, ...]:
     about every phrase a proof could use.
     """
     written = surface.casefold().split()
+    read = [_clue_word(word) for word in written]
     spans: dict[str, None] = {}
     for width in range(1, len(written) + 1):
-        for words in (written[:width], written[-width:]):
-            spans[" ".join(filter(None, map(_clue_word, words)))] = None
-            spans[" ".join(words)] = None
+        for edge in (slice(width), slice(-width, None)):
+            spans[" ".join(filter(None, read[edge]))] = None
+            spans[" ".join(written[edge])] = None
     spans.pop("", None)
     return tuple(spans)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cryptic_prover import lexfiles
+from cryptic_prover import candidates, lexfiles
 from cryptic_prover.candidates import (
     DimensionMismatch,
     EmbeddingTable,
@@ -367,6 +367,34 @@ class TestIndexedSearchMatchesAScan:
         assert closest_candidates("ape", five, "", table, new)[0][0] == "HORSE"
         with pytest.raises(EmptyCandidateSet, match="'5'"):
             closest_candidates("ape", five, "", table, old)
+
+    def test_a_new_tuple_is_not_served_a_stale_index(self):
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={"ape": np.array([1.0, 0.0]), "bee": np.array([0.9, 0.1])},
+        )
+        three, five = Pattern.parse("3"), Pattern.parse("5")
+        old, new = ("APE", "BEE"), ("BEE", "COW", "HORSE")
+        assert closest_candidates("ape", three, "", table, old)[0][0] == "APE"
+        assert closest_candidates("ape", three, "", table, new)[0][0] == "BEE"
+        assert closest_candidates("ape", five, "", table, new)[0][0] == "HORSE"
+        with pytest.raises(EmptyCandidateSet, match="'5'"):
+            closest_candidates("ape", five, "", table, old)
+
+    def test_the_loaded_tuple_reuses_the_index_without_reading_a_word(
+        self, table, wordlist, monkeypatch
+    ):
+        closest_candidates("escort", Pattern.parse("6"), "ESCORT", table, wordlist)
+        assert table._word_index[0] is wordlist
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return normalize_letters(text)
+
+        monkeypatch.setattr(candidates, "normalize_letters", counting)
+        closest_candidates("escort", Pattern.parse("6"), "ESCORT", table, wordlist)
+        assert calls == ["ESCORT"]
 
     def test_threads_sharing_a_table_across_two_wordlists_agree(self, wordlist):
         def search(table, span, words):

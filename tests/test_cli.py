@@ -176,6 +176,41 @@ class TestFormalize:
         assert main(args) == 1
         assert "rewrites_used: FAIL" in capsys.readouterr().out
 
+    def test_an_undefinable_candidate_spends_no_generator_call(self, monkeypatch, capsys):
+        calls = []
+        make_generator = CliConfig.make_generator
+
+        def counting(config, lexicon):
+            inner = make_generator(config, lexicon)
+
+            class Counting:
+                def generate(self, prompt):
+                    calls.append(prompt)
+                    return inner.generate(prompt)
+
+            return Counting()
+
+        monkeypatch.setattr(CliConfig, "make_generator", counting)
+        args = [
+            "formalize",
+            "--clue", "Chaperone shredded corset",
+            "--pattern", "6",
+            "--answer", "CAMERA",
+            "--wordplay", "CAMERA (Chaperone)",
+        ]
+        assert main(args) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "rewrites_used: FAIL"
+        assert out[1].startswith("reason: definition pre-check: ")
+        assert main(args + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["attempts"], payload["rewrites_used"], payload["script"]) == (0, "FAIL", "")
+        assert payload["failure_reason"] == out[1].removeprefix("reason: ")
+        assert calls == []
+        # The provable request still reaches the generator.
+        assert main(self.ARGS) == 0
+        assert len(calls) == 1
+
     def test_transcript_lands_under_the_output_dir(self, tmp_path, capsys):
         assert main(self.ARGS + ["--transcript", "camera.jsonl"]) == 0
         saved = tmp_path / "runs" / "camera.jsonl"

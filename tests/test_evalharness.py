@@ -507,6 +507,16 @@ class TestRunExperiment:
         )
         assert path.read_bytes() == full
 
+    def test_two_runs_on_one_loaded_wordlist_build_the_index_once(
+        self, eight_clues, lexicon, wordlist
+    ):
+        table = load_embeddings(lexfiles.seed_path("fixtures/embeddings_16d.txt"))
+        self.run(eight_clues[:2], lexicon, table, wordlist, samples_per_candidate=1)
+        index = table._word_index
+        assert index[0] is wordlist
+        self.run(eight_clues[2:4], lexicon, table, wordlist, samples_per_candidate=1)
+        assert table._word_index is index
+
     @pytest.fixture
     def searches(self, monkeypatch):
         """Counts the decoy searches run_experiment makes."""

@@ -816,6 +816,37 @@ class TestDefinitionCheck:
 _CLUE_WORD = st.text(alphabet="abSsẞß'’,.(-", min_size=1, max_size=3)
 
 
+def quadratic_definition_spans(surface: str) -> tuple[str, ...]:
+    """The reference ``definition_spans``: each word read once per prefix or suffix holding it."""
+    written = surface.casefold().split()
+    spans: dict[str, None] = {}
+    for width in range(1, len(written) + 1):
+        for words in (written[:width], written[-width:]):
+            spans[" ".join(filter(None, map(verifier._clue_word, words)))] = None
+            spans[" ".join(words)] = None
+    spans.pop("", None)
+    return tuple(spans)
+
+
+# Whole clue words: plain, possessive, punctuation alone, or drawn freely.
+_SURFACE_WORD = st.one_of(
+    st.sampled_from(["bird", "Bird's", "bird’s", "(bird),", "—", "'", "...", "STRAẞE", "straße"]),
+    _CLUE_WORD,
+)
+
+
+class TestDefinitionSpansProperty:
+    @given(
+        words=st.lists(_SURFACE_WORD, max_size=7),
+        spaces=st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=7, max_size=7),
+    )
+    @example(words=["bird's", "bird's", "’", "bird's"], spaces=[" "] * 7)
+    @example(words=["ẞ", "ss", "'s", "ß"], spaces=[" "] * 7)
+    def test_equals_the_quadratic_definition(self, words, spaces):
+        surface = "".join(space + word for space, word in zip(spaces, words))
+        assert definition_spans(surface) == quadratic_definition_spans(surface)
+
+
 @st.composite
 def proofs_with_thesauri(draw):
     """A proof of is_synonym assertions, and a thesaurus holding some of them."""
