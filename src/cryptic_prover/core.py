@@ -42,10 +42,14 @@ def normalize_letters(text: str) -> str:
     """Return only the letters of ``text``, uppercased and accent-folded.
 
     Idempotent: applying it twice gives the same result as applying it once.
+    ASCII text made only of letters, the common case of a word, is
+    returned uppercased without a translation pass.
     """
     if text.isascii():
-        # NFKD leaves ASCII unchanged and its only letters are a-z and A-Z.
-        return text.upper().translate(_ASCII_NON_CAPITALS)
+        # NFKD leaves ASCII unchanged and its only letters are a-z and A-Z,
+        # so isalpha() holds exactly for a non-empty run of them.
+        upper = text.upper()
+        return upper if upper.isalpha() else upper.translate(_ASCII_NON_CAPITALS)
     return _normalize_unicode_letters(text)
 
 

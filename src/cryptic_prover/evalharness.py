@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum, auto
+from functools import lru_cache
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Optional, Sequence, Union
@@ -262,8 +263,18 @@ def render_table(rows: Sequence[TableRow]) -> str:
 
 
 def definition_span_text(clue: Clue) -> str:
-    """The first marked definition span, or the whole surface when unmarked."""
-    spans, plain = dataset.extract_definition(clue.gold_definition or clue.surface)
+    """The first marked definition span, or the whole surface when unmarked.
+
+    Memoised on the annotated text (the last 256), so a clue's decoy
+    search and each of its decoy annotations read the braces once.
+    """
+    return _first_span_text(clue.gold_definition or clue.surface)
+
+
+@lru_cache(maxsize=256)
+def _first_span_text(annotated: str) -> str:
+    # Caches the str only: extract_definition's list is the caller's to change.
+    spans, plain = dataset.extract_definition(annotated)
     return spans[0].text if spans else plain
 
 
@@ -378,11 +389,19 @@ def _keep_recorded_attempts(path: Path, recorded: set[tuple[str, int]]) -> None:
         os.replace(partial, path)
 
 
+# json.dumps(..., ensure_ascii=False, sort_keys=True) builds this encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def _append_records(path: Union[str, Path], records: Iterable[SolveRecord]) -> None:
+    """Append one JSON line per record, sorted keys, non-ASCII kept as is.
+
+    Each line is ``json.dumps(record.to_dict(), ensure_ascii=False,
+    sort_keys=True)`` and a newline; the batch goes out in one write.
+    """
+    lines = "".join(_RECORD_ENCODER.encode(record.to_dict()) + "\n" for record in records)
     with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+        fh.write(lines)
 
 
 # -- the experiment ---------------------------------------------------------

@@ -832,6 +832,7 @@ def _clue_word(raw: str) -> str:
     return word.replace("'", "")
 
 
+@lru_cache(maxsize=256)
 def definition_spans(surface: str) -> tuple[str, ...]:
     """The phrases a definition check may put to the answer, without repeats.
 
@@ -841,6 +842,10 @@ def definition_spans(surface: str) -> tuple[str, ...]:
     ``strip().casefold()`` is one of these, which is the very key
     ``Lexicon.is_synonym`` looks up, so ``definable`` asks the lexicon
     about every phrase a proof could use.
+
+    A pure function of the surface, memoised (the last 256 surfaces), so
+    a clue's pre-checks and the lint of each of its proofs compute the
+    spans once; the result is a tuple, which no caller can change.
     """
     written = surface.casefold().split()
     read = [_clue_word(word) for word in written]

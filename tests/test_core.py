@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import string
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cryptic_prover.core import (
@@ -47,6 +49,21 @@ class TestNormalizeLetters:
         )
     )
     def test_ascii_fast_path_equals_the_nfkd_path(self, text):
+        assert normalize_letters(text) == _normalize_unicode_letters(text)
+
+    @given(
+        st.one_of(
+            st.from_regex(r"[A-Za-z]+", fullmatch=True),
+            st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=40),
+        )
+    )
+    @example("")
+    @example("a")
+    @example("Z")
+    @example(string.ascii_letters)
+    @example("a-b")
+    @example("a b")
+    def test_the_ascii_letters_only_path_equals_the_nfkd_path(self, text):
         assert normalize_letters(text) == _normalize_unicode_letters(text)
 
     def test_sharp_s_and_accents_fold_to_their_ascii_spelling(self):

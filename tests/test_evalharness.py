@@ -1,6 +1,7 @@
 """Scoring, classification, tabulation, and the desk-scale experiment."""
 
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptic_prover import dataset, evalharness, formalize, lexfiles
+from cryptic_prover import dataset, evalharness, formalize, lexfiles, verifier
 from cryptic_prover.candidates import load_embeddings
 from cryptic_prover.core import Clue, Pattern
 from cryptic_prover.evalharness import (
@@ -39,6 +40,17 @@ from cryptic_prover.oracles import seed_lexicon
 from cryptic_prover.verifier import definable
 
 rewrites_values = st.one_of(st.integers(0, 5), st.just(FAIL))
+
+# Ids and reasons as a results line must carry them: non-ASCII, line and
+# paragraph separators, quotes, backslashes and control characters.  A
+# lone surrogate has no UTF-8 form, so no results file can hold one.
+record_text = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from('"\\\u2028\u2029\x00\n\x1f\x7fé€𝄞'),
+    ),
+    max_size=20,
+)
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +302,25 @@ class TestSolveRecord:
         line = json.dumps(first.to_dict(), ensure_ascii=False) + "\n"
         path.write_text(line, encoding="utf-8")
         assert load_records(path) == [first]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        fields=st.lists(st.tuples(record_text, record_text), max_size=4),
+        earlier=st.binary(max_size=40),
+    )
+    def test_appended_records_are_the_json_dumps_lines(self, tmp_path_factory, fields, earlier):
+        records = [
+            record(clue_id, "CAMERA", bool(i % 2), i, FAIL, reason)
+            for i, (clue_id, reason) in enumerate(fields)
+        ]
+        path = tmp_path_factory.mktemp("append") / "records.jsonl"
+        path.write_bytes(earlier)
+        evalharness._append_records(path, records)
+        lines = "".join(
+            json.dumps(item.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
+            for item in records
+        )
+        assert path.read_bytes() == earlier + lines.encode("utf-8")
 
     @pytest.mark.parametrize(
         "bad", [b"not json", b'["a list"]', b'{"clue_id": "q"}', b"\xff\xfe"]
@@ -945,6 +976,29 @@ class TestRunExperiment:
         self.run([eight_clues[0], twin], decoy_lexicon, table, wordlist, samples_per_candidate=3)
         assert len(verified) == 4
         assert len(set(verified)) == 2
+
+    def test_a_clue_computes_its_definition_span_and_clue_edge_spans_once(
+        self, monkeypatch, worked_clues, lexicon, table, wordlist
+    ):
+        extract_definition = dataset.extract_definition
+        from_harness = []
+
+        def counting(annotated):
+            # The mock's compiler reads the braces too; count the harness's reads.
+            if sys._getframe(1).f_globals["__name__"] == evalharness.__name__:
+                from_harness.append(annotated)
+            return extract_definition(annotated)
+
+        monkeypatch.setattr(dataset, "extract_definition", counting)
+        evalharness._first_span_text.cache_clear()
+        verifier.definition_spans.cache_clear()
+        records = self.run(worked_clues, lexicon, table, wordlist, samples_per_candidate=5)
+        assert len(records) == 100
+        # Unmemoised, each clue reads its braces six times (the decoy search
+        # and five decoy annotations) and its spans three (two pre-checks
+        # and the lint of the gold's one verified proof).
+        assert len(from_harness) == len(set(from_harness)) == 10
+        assert verifier.definition_spans.cache_info().misses == 10
 
     def test_worker_pool_matches_the_serial_run(
         self, eight_clues, lexicon, table, wordlist
